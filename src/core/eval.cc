@@ -1,11 +1,9 @@
 #include "core/eval.h"
 
-#include <optional>
 #include <utility>
 
 #include "core/algebra.h"
 #include "core/extended.h"
-#include "exec/thread_pool.h"
 #include "safety/failpoint.h"
 
 namespace regal {
@@ -22,10 +20,6 @@ std::shared_ptr<const RegionSet> Borrow(const RegionSet* set) {
 
 std::shared_ptr<const RegionSet> Adopt(RegionSet set) {
   return std::make_shared<const RegionSet>(std::move(set));
-}
-
-bool IsLeaf(const Expr& e) {
-  return e.kind() == OpKind::kName || e.kind() == OpKind::kWordMatch;
 }
 
 }  // namespace
@@ -58,14 +52,8 @@ std::string ExprSpanDetail(const Expr& e) {
 }
 
 Result<RegionSet> Evaluator::Evaluate(const ExprPtr& e) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    memo_.clear();
-  }
-  if (options_.result_cache != nullptr) {
-    std::lock_guard<std::mutex> lock(canon_mu_);
-    cache_epoch_ = instance_->epoch();
-  }
+  memo_.clear();
+  cache_epoch_ = instance_->epoch();
   REGAL_ASSIGN_OR_RETURN(SharedSet result, Eval(e));
   // A partitioned kernel whose chunks saw ShouldAbort() bails and leaves a
   // truncated set; under the ROOT operator there is no later operator
@@ -78,144 +66,86 @@ Result<RegionSet> Evaluator::Evaluate(const ExprPtr& e) {
   return *result;
 }
 
-bool Evaluator::SubtreeParallelismEnabled() const {
-  // Span trees are strictly nested per thread, so a Tracer pins evaluation
-  // to the coordinating thread (parallel *kernels* stay available: they
-  // flush their counters on the coordinating thread).
-  return options_.parallel != nullptr && options_.parallel->parallel_subtrees &&
-         options_.tracer == nullptr;
+bool Evaluator::Resident(const ExprPtr& e) {
+  if (e->kind() == OpKind::kName) return true;
+  if (!Cacheable(*e)) return false;
+  cache_epoch_ = instance_->epoch();
+  cache::ResultCache::Key key;
+  ExprPtr canonical;
+  return ProbeCache(e, &key, &canonical) != nullptr;
+}
+
+bool Evaluator::Cacheable(const Expr& e) const {
+  // Name scans are borrowed from the instance for free and the naive
+  // oracle must stay a pure re-execution, so neither participates.
+  return options_.result_cache != nullptr && !options_.use_naive &&
+         e.kind() != OpKind::kName;
+}
+
+Evaluator::SharedSet Evaluator::ProbeCache(const ExprPtr& e,
+                                           cache::ResultCache::Key* key,
+                                           ExprPtr* canonical) {
+  *canonical = canonicalizer_.Canonical(e);
+  *key = cache::ResultCache::Key{instance_->id(), cache_epoch_,
+                                 canonicalizer_.Hash(e)};
+  return options_.result_cache->Lookup(*key, *canonical,
+                                       options_.cache_stats);
 }
 
 Result<Evaluator::SharedSet> Evaluator::Eval(const ExprPtr& e) {
   obs::SpanScope span(options_.tracer, ExprSpanName(*e),
                       options_.tracer != nullptr ? ExprSpanDetail(*e) : "");
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = memo_.find(e.get());
-    if (it != memo_.end()) {
-      MemoEntry& entry = it->second;
-      memo_cv_.wait(lock, [&] { return entry.ready; });
-      if (!entry.status.ok()) return entry.status;
-      span.MarkCached();
-      span.SetRows(0, static_cast<int64_t>(entry.value->size()));
-      return entry.value;
-    }
-    memo_.emplace(e.get(), MemoEntry{});  // Claim the slot; others wait.
+  auto memoized = memo_.find(e.get());
+  if (memoized != memo_.end()) {
+    span.MarkCached();
+    span.SetRows(0, static_cast<int64_t>(memoized->second->size()));
+    return memoized->second;
   }
 
-  // Cross-query cache probe (first arrival only — the memo guarantees one
-  // probe per node per query). Name scans are borrowed from the instance
-  // for free and the naive oracle must stay a pure re-execution, so
-  // neither participates.
-  const bool cacheable = options_.result_cache != nullptr &&
-                         !options_.use_naive && e->kind() != OpKind::kName;
+  // Cross-query cache probe, once per node per query (the memo answers
+  // every later visit).
+  const bool cacheable = Cacheable(*e);
   cache::ResultCache::Key cache_key;
   ExprPtr canonical;
   if (cacheable) {
-    {
-      std::lock_guard<std::mutex> lock(canon_mu_);
-      canonical = canonicalizer_.Canonical(e);
-      cache_key = cache::ResultCache::Key{instance_->id(), cache_epoch_,
-                                          canonicalizer_.Hash(e)};
-    }
-    std::shared_ptr<const RegionSet> hit = options_.result_cache->Lookup(
-        cache_key, canonical, options_.cache_stats);
+    SharedSet hit = ProbeCache(e, &cache_key, &canonical);
     if (hit != nullptr) {
-      // Seed the memo so every further mention short-circuits, and charge
-      // the set against the budget — it is part of this query's live
-      // footprint whether computed or recalled.
-      Result<SharedSet> seeded = SharedSet(hit);
+      // Charge the set against the budget — it is part of this query's
+      // live footprint whether computed or recalled — and seed the memo so
+      // every further mention short-circuits.
       if (options_.context != nullptr) {
-        Status charged = options_.context->ChargeMemory(
-            static_cast<int64_t>(hit->size() * sizeof(Region)));
-        if (!charged.ok()) seeded = charged;
+        REGAL_RETURN_NOT_OK(options_.context->ChargeMemory(
+            static_cast<int64_t>(hit->size() * sizeof(Region))));
       }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        MemoEntry& entry = memo_[e.get()];
-        if (seeded.ok()) {
-          entry.value = seeded.value();
-        } else {
-          entry.status = seeded.status();
-        }
-        entry.ready = true;
-      }
-      memo_cv_.notify_all();
-      if (seeded.ok()) {
-        span.MarkCached();
-        span.SetRows(0, static_cast<int64_t>(hit->size()));
-      }
-      return seeded;
+      memo_.emplace(e.get(), hit);
+      span.MarkCached();
+      span.SetRows(0, static_cast<int64_t>(hit->size()));
+      return hit;
     }
   }
 
   int64_t rows_in = 0;
-  Result<SharedSet> result = EvalNode(e, &rows_in);
+  REGAL_ASSIGN_OR_RETURN(SharedSet result, EvalNode(e, &rows_in));
   // Charge materialized results (leaf name scans are borrowed from the
   // instance, not new memory) so a runaway intermediate trips the budget at
   // the node that produced it.
-  if (result.ok() && options_.context != nullptr &&
-      e->kind() != OpKind::kName) {
-    Status charged = options_.context->ChargeMemory(
-        static_cast<int64_t>(result.value()->size() * sizeof(Region)));
-    if (!charged.ok()) result = charged;
+  if (options_.context != nullptr && e->kind() != OpKind::kName) {
+    REGAL_RETURN_NOT_OK(options_.context->ChargeMemory(
+        static_cast<int64_t>(result->size() * sizeof(Region))));
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    MemoEntry& entry = memo_[e.get()];
-    if (result.ok()) {
-      entry.value = result.value();
-      stats_.rows_produced += static_cast<int64_t>(entry.value->size());
-    } else {
-      entry.status = result.status();
-    }
-    entry.ready = true;
-  }
-  memo_cv_.notify_all();
-  if (result.ok()) {
-    span.SetRows(rows_in, static_cast<int64_t>(result.value()->size()));
-    // Publish to the shared cache — but never from a query whose context
-    // has tripped: abort conditions are monotone and a partitioned kernel
-    // that saw ShouldAbort() mid-chunk leaves a truncated set, which must
-    // not outlive this (failing) query.
-    if (cacheable && (options_.context == nullptr ||
-                      !options_.context->ShouldAbort())) {
-      options_.result_cache->Insert(cache_key, canonical, result.value(),
-                                    options_.cache_stats);
-    }
+  memo_.emplace(e.get(), result);
+  stats_.rows_produced += static_cast<int64_t>(result->size());
+  span.SetRows(rows_in, static_cast<int64_t>(result->size()));
+  // Publish to the shared cache — but never from a query whose context has
+  // tripped: abort conditions are monotone and a partitioned kernel that
+  // saw ShouldAbort() mid-chunk leaves a truncated set, which must not
+  // outlive this (failing) query.
+  if (cacheable &&
+      (options_.context == nullptr || !options_.context->ShouldAbort())) {
+    options_.result_cache->Insert(cache_key, canonical, result,
+                                  options_.cache_stats);
   }
   return result;
-}
-
-Status Evaluator::EvalChildren(const ExprPtr& e, SharedSet* a, SharedSet* b) {
-  const ExprPtr& left = e->child(0);
-  const ExprPtr& right = e->child(1);
-  // Concurrency only pays when both sides have operator work; a leaf child
-  // is a memo/borrow lookup.
-  if (SubtreeParallelismEnabled() && !IsLeaf(*left) && !IsLeaf(*right)) {
-    // Failpoint: a fault while handing a subtree to the pool must surface
-    // as a Status, not a lost task or a stuck Wait().
-    REGAL_RETURN_NOT_OK(safety::CheckFailpoint("exec.pool.subtree"));
-    exec::ThreadPool& pool = options_.parallel->pool != nullptr
-                                 ? *options_.parallel->pool
-                                 : exec::ThreadPool::Default();
-    std::optional<Result<SharedSet>> left_result;
-    exec::ThreadPool::TaskHandle task =
-        pool.Submit([this, &left, &left_result] {
-          left_result.emplace(Eval(left));
-        });
-    Result<SharedSet> right_result = Eval(right);
-    task.Wait();
-    // Prefer the left error so the surfaced diagnostic is deterministic.
-    if (!left_result->ok()) return left_result->status();
-    if (!right_result.ok()) return right_result.status();
-    *a = std::move(*left_result).value();
-    *b = std::move(right_result).value();
-    return Status::OK();
-  }
-  REGAL_ASSIGN_OR_RETURN(*a, Eval(left));
-  REGAL_ASSIGN_OR_RETURN(*b, Eval(right));
-  return Status::OK();
 }
 
 Result<Evaluator::SharedSet> Evaluator::EvalNode(const ExprPtr& e,
@@ -245,20 +175,14 @@ Result<Evaluator::SharedSet> Evaluator::EvalNode(const ExprPtr& e,
       std::vector<Region> tokens;
       tokens.reserve(matches.size());
       for (const Token& t : matches) tokens.push_back(Region{t.left, t.right});
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.operator_evals;
-      }
+      ++stats_.operator_evals;
       return Adopt(RegionSet::FromUnsorted(std::move(tokens)));
     }
     case OpKind::kSelect: {
       REGAL_ASSIGN_OR_RETURN(SharedSet child, Eval(e->child(0)));
       *rows_in = static_cast<int64_t>(child->size());
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.operator_evals;
-        stats_.rows_scanned += *rows_in;
-      }
+      ++stats_.operator_evals;
+      stats_.rows_scanned += *rows_in;
       const ParallelEvalPolicy* pp = options_.parallel;
       if (pp != nullptr && instance_->word_index() != nullptr &&
           !options_.use_naive) {
@@ -275,25 +199,19 @@ Result<Evaluator::SharedSet> Evaluator::EvalNode(const ExprPtr& e,
       REGAL_ASSIGN_OR_RETURN(SharedSet s, Eval(e->child(1)));
       REGAL_ASSIGN_OR_RETURN(SharedSet t, Eval(e->child(2)));
       *rows_in = static_cast<int64_t>(r->size() + s->size() + t->size());
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.operator_evals;
-        stats_.rows_scanned += *rows_in;
-      }
+      ++stats_.operator_evals;
+      stats_.rows_scanned += *rows_in;
       return Adopt(options_.use_naive ? naive::BothIncluded(*r, *s, *t)
                                       : BothIncluded(*r, *s, *t));
     }
     default: {
-      SharedSet sa, sb;
-      REGAL_RETURN_NOT_OK(EvalChildren(e, &sa, &sb));
+      REGAL_ASSIGN_OR_RETURN(SharedSet sa, Eval(e->child(0)));
+      REGAL_ASSIGN_OR_RETURN(SharedSet sb, Eval(e->child(1)));
       const RegionSet& a = *sa;
       const RegionSet& b = *sb;
       *rows_in = static_cast<int64_t>(a.size() + b.size());
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.operator_evals;
-        stats_.rows_scanned += *rows_in;
-      }
+      ++stats_.operator_evals;
+      stats_.rows_scanned += *rows_in;
       const bool naive_mode = options_.use_naive;
       const ParallelEvalPolicy* pp = naive_mode ? nullptr : options_.parallel;
       exec::ParallelConfig cfg;

@@ -2,11 +2,9 @@
 #define REGAL_CORE_EVAL_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 
 #include "cache/result_cache.h"
@@ -23,22 +21,18 @@ namespace regal {
 /// Controls the evaluator's use of the exec thread pool. The engine installs
 /// a policy only when the optimizer's EstimateCost for the whole plan
 /// exceeds its threshold (see QueryEngine::set_parallel_cost_threshold);
-/// with no policy the evaluator is strictly sequential.
+/// with no policy every operator runs its sequential implementation.
 ///
-/// Parallel and sequential evaluation return bit-identical RegionSets: the
-/// partitioned kernels preserve document order per chunk, and memoization
-/// computes every shared node exactly once regardless of which thread gets
-/// there first.
+/// The evaluator always walks the plan on the calling thread; the policy
+/// only lets a large operator partition its work across the pool. The
+/// partitioned kernels preserve document order per chunk, so parallel and
+/// sequential evaluation return bit-identical RegionSets.
 struct ParallelEvalPolicy {
-  /// Pool for kernels and subtree tasks; nullptr means ThreadPool::Default().
+  /// Pool for the partitioned kernels; nullptr means ThreadPool::Default().
   exec::ThreadPool* pool = nullptr;
   /// Combined operand rows before an operator dispatches to the partitioned
   /// kernels (below this the sequential operator is cheaper).
   size_t min_rows = 1u << 14;
-  /// Evaluate the two children of a binary node concurrently when both are
-  /// operator subtrees. Automatically disabled under a Tracer (span trees
-  /// are strictly nested per thread).
-  bool parallel_subtrees = true;
 };
 
 /// Knobs for Evaluator. `use_naive` switches every operator to the O(n*m)
@@ -50,13 +44,13 @@ struct ParallelEvalPolicy {
 /// input/output cardinalities, operator work counters, wall time) — the
 /// machinery behind `explain analyze`. Null tracer = no tracing work at
 /// all beyond one branch per node. `parallel`, when set, dispatches large
-/// operators to the partitioned kernels of exec/parallel_algebra.h and
-/// runs independent subtrees concurrently. `context`, when set, is the
-/// query's governance state (deadline, cancellation, memory budget): the
-/// evaluator checks it once per expression node and charges every
-/// materialized result against the budget, so a violated limit surfaces as
-/// a clean non-OK Status within one operator boundary. Null context = no
-/// governance work at all (one branch per node).
+/// operators to the partitioned kernels of exec/parallel_algebra.h.
+/// `context`, when set, is the query's governance state (deadline,
+/// cancellation, memory budget): the evaluator checks it once per
+/// expression node and charges every materialized result against the
+/// budget, so a violated limit surfaces as a clean non-OK Status within one
+/// operator boundary. Null context = no governance work at all (one branch
+/// per node).
 struct EvalOptions {
   bool use_naive = false;
   const std::map<std::string, RegionSet>* bindings = nullptr;
@@ -69,7 +63,7 @@ struct EvalOptions {
   /// Cross-query result cache (see cache/result_cache.h), keyed by the
   /// instance's (id, epoch) and each subtree's canonical fingerprint. When
   /// set (and use_naive is off — the naive oracle stays pure), the first
-  /// arrival at every non-scan node probes the cache and seeds the memo on
+  /// visit to every non-scan node probes the cache and seeds the memo on
   /// a hit, so the subtree short-circuits without re-execution; computed
   /// results are published back unless the query's context has already
   /// tripped (a kernel may have bailed mid-chunk, and a truncated set must
@@ -83,8 +77,8 @@ struct EvalOptions {
 
 /// Counters accumulated across Evaluate calls; the optimizer benches read
 /// them to show that RIG-based rewrites execute fewer operator evaluations.
-/// Deterministic under parallel evaluation (memoization runs every node
-/// once, and the sums are order-independent).
+/// Identical with and without a ParallelEvalPolicy: the plan walk is the
+/// same, only the operators' inner loops are partitioned.
 struct EvalStats {
   int64_t operator_evals = 0;  // Operator nodes executed (memoized hits excluded).
   int64_t rows_scanned = 0;    // Sum of operand sizes over executed operators.
@@ -92,12 +86,13 @@ struct EvalStats {
 };
 
 /// Evaluates region algebra expressions against one Instance
-/// (e(I) of Definition 2.3 plus the extended operators).
+/// (e(I) of Definition 2.3 plus the extended operators), walking the plan
+/// on the calling thread.
 ///
 /// Shared subtrees (the expression is a DAG of shared_ptr nodes) are
 /// evaluated once per Evaluate call via pointer-keyed memoization — the
 /// bounded expansions of Props 5.2/5.4 rely on this. Memoized results are
-/// handed around as shared_ptr<const RegionSet>, so a cache hit (and a leaf
+/// handed around as shared_ptr<const RegionSet>, so a memo hit (and a leaf
 /// scan of an instance set) never copies region data.
 class Evaluator {
  public:
@@ -107,44 +102,39 @@ class Evaluator {
   /// e(I). Errors if e mentions a region name not defined in the instance.
   Result<RegionSet> Evaluate(const ExprPtr& e);
 
+  /// True when evaluating `e` needs no operator work at its root: a name
+  /// scan (borrowed from the instance, never cached) or a subtree whose
+  /// result the cross-query cache holds for the instance's current epoch.
+  /// Makes the same cache probe Evaluate makes at each node; never
+  /// evaluates.
+  bool Resident(const ExprPtr& e);
+
   const EvalStats& stats() const { return stats_; }
   void ResetStats() { stats_ = EvalStats(); }
 
  private:
   using SharedSet = std::shared_ptr<const RegionSet>;
 
-  /// Memoizing wrapper: first arrival computes via EvalNode, concurrent
-  /// arrivals at the same node block until the result is ready.
+  /// Memoizing wrapper: a node's first visit probes the result cache, then
+  /// computes via EvalNode; later visits return the memoized set.
   Result<SharedSet> Eval(const ExprPtr& e);
   /// Computes one node (children evaluated via Eval). `rows_in` receives the
   /// sum of operand cardinalities (0 for leaves) for the node's span.
   Result<SharedSet> EvalNode(const ExprPtr& e, int64_t* rows_in);
-  /// Evaluates both children of a binary node, concurrently when the policy
-  /// allows it.
-  Status EvalChildren(const ExprPtr& e, SharedSet* a, SharedSet* b);
-  bool SubtreeParallelismEnabled() const;
-
-  /// One memo slot per expression node. `ready` flips under mu_ once the
-  /// value (or error) is in; waiters sleep on memo_cv_.
-  struct MemoEntry {
-    bool ready = false;
-    SharedSet value;
-    Status status;
-  };
+  /// Whether `e` takes part in the cross-query cache.
+  bool Cacheable(const Expr& e) const;
+  /// Looks `e` up in the result cache, filling the key and canonical form
+  /// a later Insert of the computed set needs.
+  SharedSet ProbeCache(const ExprPtr& e, cache::ResultCache::Key* key,
+                       ExprPtr* canonical);
 
   const Instance* instance_;
   EvalOptions options_;
   EvalStats stats_;
-  // Guards memo_, stats_ and memo_cv_ — uncontended (one lock per node) in
-  // sequential evaluation.
-  std::mutex mu_;
-  std::condition_variable memo_cv_;
-  std::unordered_map<const Expr*, MemoEntry> memo_;
+  std::unordered_map<const Expr*, SharedSet> memo_;
   // Cross-query cache plumbing: the canonicalizer memoizes fingerprints
-  // per node (guarded separately — canonicalization can be heavy and must
-  // not serialize against the memo), and the epoch is snapshotted at
-  // Evaluate entry so one call never mixes epochs.
-  std::mutex canon_mu_;
+  // per node, and the epoch is snapshotted at Evaluate entry so one call
+  // never mixes epochs.
   ExprCanonicalizer canonicalizer_;
   uint64_t cache_epoch_ = 0;
 };

@@ -1,6 +1,8 @@
 #include "exec/thread_pool.h"
 
+#include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 #include "obs/metrics.h"
@@ -13,7 +15,7 @@ namespace {
 
 // Registry updates fetch the metric fresh each time: pointers cached across
 // obs::Registry::Clear() (used for test/bench isolation) would dangle.
-// Dispatch bookkeeping still happens on the submitting thread only;
+// Dispatch bookkeeping still happens on the calling thread only;
 // ActiveLaneScope additionally updates the utilization gauge from whichever
 // lane runs the work, which is safe for the same fetch-fresh reason.
 void RecordDispatch(size_t queue_depth, int64_t tasks, int64_t steals) {
@@ -28,9 +30,9 @@ void RecordDispatch(size_t queue_depth, int64_t tasks, int64_t steals) {
 
 // Up-down gauge of lanes currently executing pool work — the utilization
 // numerator against the regal_exec_threads denominator. One registry fetch
-// + two atomic adds per lane *participation* (a Submit task or one lane's
-// share of a ParallelFor), not per claimed index, so the always-on cost is
-// amortized over the chunk work the lane does.
+// + two atomic adds per lane *participation* (one lane's share of a
+// ParallelFor), not per claimed index, so the always-on cost is amortized
+// over the chunk work the lane does.
 class ActiveLaneScope {
  public:
   ActiveLaneScope()
@@ -46,45 +48,6 @@ class ActiveLaneScope {
 };
 
 }  // namespace
-
-/// One Submit()ed task. `claimed` arbitrates between a worker and the
-/// waiting caller; whoever wins the compare-exchange runs `fn` exactly once.
-struct ThreadPool::TaskHandle::State {
-  std::function<void()> fn;
-  std::atomic<bool> claimed{false};
-  std::atomic<bool> ran_on_worker{false};
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-
-  // Returns true if this call claimed and ran the task.
-  bool TryRun(bool on_worker) {
-    bool expected = false;
-    if (!claimed.compare_exchange_strong(expected, true)) return false;
-    if (on_worker) ran_on_worker.store(true, std::memory_order_relaxed);
-    {
-      ActiveLaneScope active;
-      fn();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      done = true;
-    }
-    cv.notify_all();
-    return true;
-  }
-};
-
-void ThreadPool::TaskHandle::Wait() {
-  if (state_ == nullptr) return;
-  if (!state_->TryRun(/*on_worker=*/false)) {
-    std::unique_lock<std::mutex> lock(state_->mu);
-    state_->cv.wait(lock, [&] { return state_->done; });
-  }
-  RecordDispatch(0, 1,
-                 state_->ran_on_worker.load(std::memory_order_relaxed) ? 1 : 0);
-  state_.reset();
-}
 
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads < 1) num_threads = 1;
@@ -144,37 +107,28 @@ bool ThreadPool::Saturated() const {
          static_cast<size_t>(2 * num_threads());
 }
 
-void ThreadPool::Enqueue(std::shared_ptr<TaskHandle::State> task) {
+void ThreadPool::Enqueue(std::function<void()> job) {
   size_t depth;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
+    queue_.push_back(std::move(job));
     depth = queue_.size();
   }
   work_cv_.notify_one();
   RecordDispatch(depth, 0, 0);
 }
 
-ThreadPool::TaskHandle ThreadPool::Submit(std::function<void()> fn) {
-  TaskHandle handle;
-  handle.state_ = std::make_shared<TaskHandle::State>();
-  handle.state_->fn = std::move(fn);
-  if (workers_.empty()) return handle;  // Wait() runs it inline.
-  Enqueue(handle.state_);
-  return handle;
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::shared_ptr<TaskHandle::State> task;
+    std::function<void()> job;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
       if (stopping_ && queue_.empty()) return;
-      task = std::move(queue_.front());
+      job = std::move(queue_.front());
       queue_.pop_front();
     }
-    task->TryRun(/*on_worker=*/true);  // Skips tasks the caller already ran.
+    job();
   }
 }
 
@@ -220,13 +174,12 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   state->n = n;
   size_t helpers = workers_.size() < n - 1 ? workers_.size() : n - 1;
   for (size_t i = 0; i < helpers; ++i) {
-    auto task = std::make_shared<TaskHandle::State>();
-    task->fn = [state] { state->Drive(/*on_worker=*/true); };
-    Enqueue(task);
+    Enqueue([state] {
+      ActiveLaneScope active;
+      state->Drive(/*on_worker=*/true);
+    });
   }
   {
-    // Worker-side drives are counted by TryRun; the caller's lane counts
-    // itself here.
     ActiveLaneScope active;
     state->Drive(/*on_worker=*/false);
   }

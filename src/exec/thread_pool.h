@@ -1,12 +1,9 @@
 #ifndef REGAL_EXEC_THREAD_POOL_H_
 #define REGAL_EXEC_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -14,29 +11,29 @@
 namespace regal {
 namespace exec {
 
-/// Fixed-size thread pool shared by the parallel operator kernels, the
-/// evaluator's concurrent subtree execution, and the index builders.
+/// Fixed-size thread pool shared by the parallel operator kernels and the
+/// index builders. Its one entry point is ParallelFor: the evaluator walks
+/// a plan on the calling thread, and an operator large enough to partition
+/// fans its chunks out here.
 ///
 /// A pool of `num_threads` *lanes* runs `num_threads - 1` worker threads:
-/// the submitting thread is always the extra lane, participating in every
-/// ParallelFor and running unclaimed Submit tasks inline on Wait. This
-/// caller-runs discipline makes nested parallelism (a pool task that itself
-/// fans out) deadlock-free — a waiter never blocks on work that no thread
-/// has picked up — and makes `ThreadPool(1)` exactly the sequential path
-/// (zero workers, every task inline).
+/// the thread calling ParallelFor is always the extra lane and claims
+/// indices alongside the workers. This caller-runs discipline makes nested
+/// parallelism (a chunk that itself calls ParallelFor) deadlock-free — a
+/// caller never waits on an index that no thread has claimed — and makes
+/// `ThreadPool(1)` exactly the sequential path (zero workers).
 ///
 /// The process-wide Default() pool is created lazily on first use and sized
 /// by the REGAL_THREADS environment variable (falling back to
 /// std::thread::hardware_concurrency).
 ///
-/// Observability (obs::Registry::Default(), updated from the submitting
+/// Observability (obs::Registry::Default(), updated from the calling
 /// thread only so metric pointers are never cached across Registry::Clear):
 ///   regal_exec_threads            gauge    lanes of the default pool
-///   regal_exec_queue_depth        gauge    queue length sampled at submit
-///   regal_exec_tasks_total        counter  chunk/task executions
-///   regal_exec_steals_total       counter  executions claimed by a worker
-///                                          (i.e. stolen from the caller's
-///                                          inline path)
+///   regal_exec_queue_depth        gauge    queue length sampled at enqueue
+///   regal_exec_tasks_total        counter  ParallelFor index executions
+///   regal_exec_steals_total       counter  indices run by a worker (i.e.
+///                                          taken off the caller's lane)
 class ThreadPool {
  public:
   /// `num_threads` lanes (>= 1): num_threads - 1 workers plus the caller.
@@ -59,29 +56,13 @@ class ThreadPool {
   /// Total lanes (workers + caller).
   int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
 
-  /// Handle to a Submit()ed task. Wait() runs the task inline if no worker
-  /// has claimed it yet, then blocks until it finished.
-  class TaskHandle {
-   public:
-    TaskHandle() = default;
-    void Wait();
-
-   private:
-    friend class ThreadPool;
-    struct State;
-    std::shared_ptr<State> state_;
-  };
-
-  /// Schedules `fn`. `fn` must not throw.
-  TaskHandle Submit(std::function<void()> fn);
-
   /// Runs fn(0) .. fn(n - 1), distributing indices over the workers with
   /// the caller participating; returns when all n calls completed. Indices
   /// are claimed dynamically, so chunk sizes self-balance. `fn` must not
   /// throw and must tolerate concurrent invocation on distinct indices.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
-  /// Queue length at this instant (tasks submitted but not yet claimed).
+  /// Queue length at this instant (helper jobs queued but not yet claimed).
   size_t ApproxQueueDepth() const;
 
   /// Admission signal for graceful degradation: true when the backlog
@@ -89,18 +70,18 @@ class ThreadPool {
   /// full round of queued work), or when the "exec.pool.saturated"
   /// failpoint fires. The engine answers saturation by evaluating
   /// sequentially instead of queueing more parallel work — see
-  /// QueryEngine::RunExpr and DESIGN.md "Resource governance".
+  /// DESIGN.md "Resource governance".
   bool Saturated() const;
 
  private:
   struct ForState;
 
   void WorkerLoop();
-  void Enqueue(std::shared_ptr<TaskHandle::State> task);
+  void Enqueue(std::function<void()> job);
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
-  std::deque<std::shared_ptr<TaskHandle::State>> queue_;
+  std::deque<std::function<void()>> queue_;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };

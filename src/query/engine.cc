@@ -63,6 +63,19 @@ Status CheckNames(const Instance& instance,
   return Status::OK();
 }
 
+// The optimize stage: rewrites answer->executed in place and records which
+// rules fired.
+void OptimizePlan(const CatalogStats& stats, const std::optional<Digraph>& rig,
+                  QueryAnswer* answer) {
+  OptimizerOptions options;
+  options.stats = stats;
+  if (rig.has_value()) options.rig = &*rig;
+  OptimizeOutcome outcome = Optimize(answer->executed, options);
+  answer->executed = outcome.expr;
+  answer->rewrite_rules_applied = outcome.rules_applied;
+  answer->rewrites = std::move(outcome.rewrites);
+}
+
 // StatusCodeToString lowered to the label form used by flight-recorder
 // records and log fields ("DEADLINE_EXCEEDED" -> "deadline_exceeded").
 std::string StatusCodeLabel(StatusCode code) {
@@ -377,128 +390,137 @@ Result<QueryAnswer> QueryEngine::Run(const std::string& query, bool optimize) {
 Result<QueryAnswer> QueryEngine::Run(const std::string& query,
                                      const safety::QueryLimits& limits,
                                      bool optimize) {
-  Result<QueryStatement> statement = ParseStatement(query);
+  return Prepare(query, limits, optimize).Execute();
+}
+
+PreparedQuery QueryEngine::Prepare(const std::string& query,
+                                   const safety::QueryLimits& limits,
+                                   bool optimize) {
+  return PreparedQuery(this, ParseStatement(query), limits, optimize);
+}
+
+Result<QueryAnswer> QueryEngine::RunExpr(const ExprPtr& expr, bool optimize,
+                                         bool profile) {
+  QueryStatement statement;
+  statement.verb = profile ? QueryVerb::kExplainAnalyze : QueryVerb::kRun;
+  statement.expr = expr;
+  return PreparedQuery(this, std::move(statement), limits_, optimize)
+      .Execute();
+}
+
+PreparedQuery::PreparedQuery(QueryEngine* engine,
+                             Result<QueryStatement> statement,
+                             const safety::QueryLimits& limits, bool optimize)
+    : engine_(engine), lock_(*engine->catalog_mu_), limits_(limits) {
   if (!statement.ok()) {
+    failed_ = Failed::kParse;
+    status_ = statement.status();
+    return;
+  }
+  verb_ = statement->verb;
+  answer_.parsed = statement->expr;
+  answer_.executed = engine->ResolveViews(answer_.parsed);
+  status_ = CheckNames(engine->instance_, engine->materialized_views_,
+                       answer_.executed);
+  if (!status_.ok()) {
+    failed_ = Failed::kCheckNames;
+    return;
+  }
+  // Admission control bounds evaluation work; `explain` evaluates nothing.
+  if (verb_ != QueryVerb::kExplain) {
+    status_ = safety::AdmitExpr(answer_.executed, limits_);
+    if (!status_.ok()) {
+      failed_ = Failed::kAdmit;
+      return;
+    }
+  }
+  if (optimize) OptimizePlan(engine->stats_, engine->rig_, &answer_);
+}
+
+bool PreparedQuery::CacheResident() {
+  if (failed_ != Failed::kNone || verb_ != QueryVerb::kRun) return false;
+  EvalOptions options;
+  if (engine_->result_cache_enabled_) {
+    options.result_cache = engine_->result_cache_.get();
+  }
+  return Evaluator(&engine_->instance_, options).Resident(answer_.executed);
+}
+
+std::vector<std::string> PreparedQuery::Rows(const QueryAnswer& answer,
+                                             int limit) const {
+  return answer.Rows(engine_->instance_, limit);
+}
+
+Result<QueryAnswer> PreparedQuery::Execute() {
+  if (failed_ == Failed::kParse) {
     // The lexer/parser admission caps (token count, nesting depth) report
     // ResourceExhausted; count those rejections with the admission-control
     // ones so all refused work is visible in one place.
-    if (statement.status().code() == StatusCode::kResourceExhausted) {
+    if (status_.code() == StatusCode::kResourceExhausted) {
       obs::Registry::Default()
           .GetCounter("regal_safety_queries_rejected_total",
                       {{"reason", "parse"}})
           ->Increment();
     }
-    return statement.status();
+    return status_;
   }
-  switch (statement->verb) {
-    case QueryVerb::kExplain:
-      return ExplainExpr(statement->expr, optimize);
-    case QueryVerb::kExplainAnalyze:
-      return RunExprWithLimits(statement->expr, limits, optimize,
-                               /*profile=*/true);
-    case QueryVerb::kRun:
-      break;
-  }
-  return RunExprWithLimits(statement->expr, limits, optimize,
-                           /*profile=*/false);
+  if (verb_ != QueryVerb::kExplain) return Evaluate();
+  REGAL_RETURN_NOT_OK(status_);
+  QueryProfile query_profile;
+  query_profile.plan = PlanFromExpr(answer_.executed, engine_->stats_);
+  query_profile.analyzed = false;
+  answer_.profile = std::move(query_profile);
+  obs::Registry::Default()
+      .GetCounter("regal_queries_total", {{"verb", "explain"}})
+      ->Increment();
+  return std::move(answer_);
 }
 
-bool QueryEngine::IsCacheResident(const std::string& query) {
-  Result<QueryStatement> statement = ParseStatement(query);
-  if (!statement.ok()) return false;
-  // explain / explain analyze always run machinery; only plain `run`
-  // statements can be answered from warm state.
-  if (statement->verb != QueryVerb::kRun) return false;
-  std::shared_lock<std::shared_mutex> lock(*catalog_mu_);
-  ExprPtr resolved = ResolveViews(statement->expr);
-  // Mirror the execution pipeline: the evaluator caches nodes of the
-  // *optimized* expression, so residency must be probed against the same
-  // shape a real run would evaluate.
-  OptimizerOptions options;
-  options.stats = stats_;
-  if (rig_.has_value()) options.rig = &*rig_;
-  ExprPtr executed = Optimize(resolved, options).expr;
-  // A raw name scan is borrowed from the index — always warm, never in
-  // the result cache (the evaluator excludes kName on purpose).
-  if (executed->kind() == OpKind::kName) return true;
-  if (!result_cache_enabled_ || result_cache_ == nullptr) return false;
-  ExprCanonicalizer canonicalizer;
-  ExprPtr canonical = canonicalizer.Canonical(executed);
-  cache::ResultCache::Key key{instance_.id(), instance_.epoch(),
-                              canonicalizer.Hash(executed)};
-  return result_cache_->Lookup(key, canonical, nullptr) != nullptr;
-}
-
-Result<QueryAnswer> QueryEngine::RunExpr(const ExprPtr& expr, bool optimize,
-                                         bool profile) {
-  return RunExprWithLimits(expr, limits_, optimize, profile);
-}
-
-Result<QueryAnswer> QueryEngine::RunExprWithLimits(
-    const ExprPtr& expr, const safety::QueryLimits& limits, bool optimize,
-    bool profile) {
-  // Shared with every other in-flight query; excluded against Apply /
-  // ReloadSnapshot / Checkpoint, so the whole run sees one catalog.
-  std::shared_lock<std::shared_mutex> catalog_lock(*catalog_mu_);
-  ExprPtr resolved = ResolveViews(expr);
+Result<QueryAnswer> PreparedQuery::Evaluate() {
+  QueryEngine& engine = *engine_;
+  QueryAnswer& answer = answer_;
+  const bool profile = verb_ == QueryVerb::kExplainAnalyze;
   obs::Registry& registry = obs::Registry::Default();
   obs::FlightRecorder* recorder =
-      telemetry_enabled_ ? flight_recorder() : nullptr;
+      engine.telemetry_enabled_ ? engine.flight_recorder() : nullptr;
   const uint64_t query_id =
       recorder != nullptr ? recorder->NextQueryId() : 0;
   // Sampling is decided before execution so a sampled query can collect a
   // live trace for /tracez (a post-hoc decision could only rebuild an
   // estimate skeleton).
   const bool sampled = recorder != nullptr && recorder->ShouldSample(query_id);
-  // Pre-execution rejections (unknown names, admission control) also reach
-  // the flight recorder — they are exactly the queries operators get asked
-  // about. Nothing ran, so the plan is an estimate-only skeleton.
-  auto record_rejection = [&](const Status& status) {
-    if (recorder == nullptr) return;
-    obs::QueryRecord record;
-    record.query_id = query_id;
-    record.ok = false;
-    record.status = status.ToString();
-    record.status_code = StatusCodeLabel(status.code());
-    record.sampled = sampled;
-    record.query = resolved->ToString();
-    record.plan = PlanFromExpr(resolved, stats_);
-    recorder->Record(std::move(record));
-  };
-  Status names_ok = CheckNames(instance_, materialized_views_, resolved);
-  if (!names_ok.ok()) {
-    record_rejection(names_ok);
-    return names_ok;
-  }
-  const bool governed = limits.Any();
-  if (governed) {
-    Status admitted = safety::AdmitExpr(resolved, limits);
-    if (!admitted.ok()) {
+  if (failed_ != Failed::kNone) {
+    if (failed_ == Failed::kAdmit) {
       registry
           .GetCounter("regal_safety_queries_rejected_total",
                       {{"reason", "complexity"}})
           ->Increment();
-      record_rejection(admitted);
-      return admitted;
     }
-    registry.GetCounter("regal_safety_queries_admitted_total")->Increment();
+    // Pre-execution rejections (unknown names, admission control) also
+    // reach the flight recorder — they are exactly the queries operators
+    // get asked about. Nothing ran (nor was optimized), so the plan is an
+    // estimate-only skeleton of the resolved query.
+    if (recorder != nullptr) {
+      obs::QueryRecord record;
+      record.query_id = query_id;
+      record.ok = false;
+      record.status = status_.ToString();
+      record.status_code = StatusCodeLabel(status_.code());
+      record.sampled = sampled;
+      record.query = answer.executed->ToString();
+      record.plan = PlanFromExpr(answer.executed, engine.stats_);
+      recorder->Record(std::move(record));
+    }
+    return status_;
   }
-  QueryAnswer answer;
-  answer.parsed = expr;
-  answer.executed = resolved;
-  if (optimize) {
-    OptimizerOptions options;
-    options.stats = stats_;
-    if (rig_.has_value()) options.rig = &*rig_;
-    OptimizeOutcome outcome = Optimize(resolved, options);
-    answer.executed = outcome.expr;
-    answer.rewrite_rules_applied = outcome.rules_applied;
-    answer.rewrites = std::move(outcome.rewrites);
+  const bool governed = limits_.Any();
+  if (governed) {
+    registry.GetCounter("regal_safety_queries_admitted_total")->Increment();
   }
   std::optional<obs::Tracer> tracer;
   if (profile || sampled) tracer.emplace();
   std::optional<safety::QueryContext> context;
-  if (governed) context.emplace(limits);
+  if (governed) context.emplace(limits_);
   bool degraded = false;
   std::vector<std::string> fallbacks;
   // Per-query, not the global metrics counter: concurrent queries must not
@@ -511,19 +533,19 @@ Result<QueryAnswer> QueryEngine::RunExprWithLimits(
   {
     ScopedTimer timed(&answer.elapsed_ms);
     EvalOptions eval_options;
-    eval_options.bindings = &materialized_views_;
+    eval_options.bindings = &engine.materialized_views_;
     eval_options.kernel_fallbacks = &kernel_fallbacks;
-    if (result_cache_enabled_) {
-      eval_options.result_cache = result_cache_.get();
+    if (engine.result_cache_enabled_) {
+      eval_options.result_cache = engine.result_cache_.get();
       eval_options.cache_stats = &cache_stats;
     }
     if (tracer.has_value()) eval_options.tracer = &*tracer;
     if (context.has_value()) eval_options.context = &*context;
-    if (parallel_enabled_ &&
-        EstimateCost(answer.executed, stats_).cost >=
-            parallel_cost_threshold_) {
-      exec::ThreadPool* pool = parallel_policy_.pool != nullptr
-                                   ? parallel_policy_.pool
+    if (engine.parallel_enabled_ &&
+        EstimateCost(answer.executed, engine.stats_).cost >=
+            engine.parallel_cost_threshold_) {
+      exec::ThreadPool* pool = engine.parallel_policy_.pool != nullptr
+                                   ? engine.parallel_policy_.pool
                                    : &exec::ThreadPool::Default();
       if (pool->Saturated()) {
         // Graceful degradation: an overloaded pool means queued parallel
@@ -536,10 +558,10 @@ Result<QueryAnswer> QueryEngine::RunExprWithLimits(
                         {{"reason", "pool_saturated"}})
             ->Increment();
       } else {
-        eval_options.parallel = &parallel_policy_;
+        eval_options.parallel = &engine.parallel_policy_;
       }
     }
-    Evaluator evaluator(&instance_, eval_options);
+    Evaluator evaluator(&engine.instance_, eval_options);
     Result<RegionSet> result = evaluator.Evaluate(answer.executed);
     answer.eval_stats = evaluator.stats();
     if (result.ok()) {
@@ -574,13 +596,13 @@ Result<QueryAnswer> QueryEngine::RunExprWithLimits(
       record.query = answer.executed->ToString();
       if (tracer.has_value()) {
         record.plan = tracer->Build();
-        AttachEstimates(&record.plan, answer.executed, stats_);
+        AttachEstimates(&record.plan, answer.executed, engine.stats_);
         record.traced = true;
       } else {
         // A slow/errored query that was neither profiled nor sampled has no
         // trace; /tracez still gets the plan shape with estimates, stamped
         // with the whole-query outcome at the root.
-        record.plan = PlanFromExpr(answer.executed, stats_);
+        record.plan = PlanFromExpr(answer.executed, engine.stats_);
         record.plan.rows_out = static_cast<int64_t>(answer.regions.size());
         record.plan.dur_us = answer.elapsed_ms * 1000.0;
       }
@@ -613,7 +635,7 @@ Result<QueryAnswer> QueryEngine::RunExprWithLimits(
   if (profile) {
     QueryProfile query_profile;
     query_profile.plan = tracer->Build();
-    AttachEstimates(&query_profile.plan, answer.executed, stats_);
+    AttachEstimates(&query_profile.plan, answer.executed, engine.stats_);
     query_profile.counters = tracer->counters();
     query_profile.total_ms = answer.elapsed_ms;
     query_profile.analyzed = true;
@@ -623,10 +645,10 @@ Result<QueryAnswer> QueryEngine::RunExprWithLimits(
     if (context.has_value()) {
       query_profile.peak_memory_bytes = context->peak_memory_bytes();
     }
-    query_profile.cache_enabled = result_cache_enabled_;
+    query_profile.cache_enabled = engine.result_cache_enabled_;
     query_profile.cache = cache_stats;
-    if (result_cache_enabled_) {
-      query_profile.cache_bytes = result_cache_->bytes();
+    if (engine.result_cache_enabled_) {
+      query_profile.cache_bytes = engine.result_cache_->bytes();
     }
     answer.profile = std::move(query_profile);
   }
@@ -640,34 +662,7 @@ Result<QueryAnswer> QueryEngine::RunExprWithLimits(
                       {{"verb", profile ? "explain_analyze" : "run"}})
       ->Increment();
   registry.GetHistogram("regal_query_latency_ms")->Observe(answer.elapsed_ms);
-  return answer;
-}
-
-Result<QueryAnswer> QueryEngine::ExplainExpr(const ExprPtr& expr,
-                                             bool optimize) {
-  std::shared_lock<std::shared_mutex> catalog_lock(*catalog_mu_);
-  ExprPtr resolved = ResolveViews(expr);
-  REGAL_RETURN_NOT_OK(CheckNames(instance_, materialized_views_, resolved));
-  QueryAnswer answer;
-  answer.parsed = expr;
-  answer.executed = resolved;
-  if (optimize) {
-    OptimizerOptions options;
-    options.stats = stats_;
-    if (rig_.has_value()) options.rig = &*rig_;
-    OptimizeOutcome outcome = Optimize(resolved, options);
-    answer.executed = outcome.expr;
-    answer.rewrite_rules_applied = outcome.rules_applied;
-    answer.rewrites = std::move(outcome.rewrites);
-  }
-  QueryProfile query_profile;
-  query_profile.plan = PlanFromExpr(answer.executed, stats_);
-  query_profile.analyzed = false;
-  answer.profile = std::move(query_profile);
-  obs::Registry::Default()
-      .GetCounter("regal_queries_total", {{"verb", "explain"}})
-      ->Increment();
-  return answer;
+  return std::move(answer);
 }
 
 Status QueryEngine::EnableAdminServer(admin::AdminOptions options) {
@@ -828,11 +823,7 @@ Status QueryEngine::DefineView(const std::string& name,
   REGAL_ASSIGN_OR_RETURN(ExprPtr expr, ParseQuery(query));
   // Splice existing views now, so later definitions cannot create cycles.
   ExprPtr resolved = ResolveViews(expr);
-  for (const std::string& used : resolved->NamesUsed()) {
-    if (!instance_.Has(used) && materialized_views_.count(used) == 0) {
-      return Status::NotFound("view references unknown name '" + used + "'");
-    }
-  }
+  REGAL_RETURN_NOT_OK(CheckNames(instance_, materialized_views_, resolved));
   expression_views_[name] = std::move(resolved);
   return Status::OK();
 }

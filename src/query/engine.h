@@ -16,6 +16,7 @@
 #include "obs/trace.h"
 #include "opt/cost.h"
 #include "opt/optimizer.h"
+#include "query/parser.h"
 #include "recovery/durable.h"
 #include "safety/context.h"
 #include "storage/snapshot.h"
@@ -80,8 +81,61 @@ struct QueryAnswer {
   std::vector<std::string> Rows(const Instance& instance, int limit = 10) const;
 };
 
+class QueryEngine;
+
+/// One statement on its way through the engine's query pipeline:
+///
+///   parse -> resolve views -> check names -> admit -> optimize
+///         -> cache probe -> evaluate -> render
+///
+/// QueryEngine::Prepare runs the stages up to optimize and holds the
+/// catalog lock shared for this object's lifetime, so the residency check,
+/// execution and row rendering all see the catalog the plan was made
+/// against; a concurrent ReloadSnapshot or Apply waits until the object is
+/// destroyed. A failed stage is kept and reported by Execute(), so a caller
+/// can refuse the work (brownout) before any outcome is recorded. Driven by
+/// one thread; it must not call back into the same engine while it lives.
+class PreparedQuery {
+ public:
+  /// True when this is a plain `run` statement answerable from warm state:
+  /// planning succeeded and the optimized plan's root is a raw name scan
+  /// (borrowed from the index) or is resident in the result cache.
+  /// Brownout mode serves only such queries. Never evaluates anything.
+  bool CacheResident();
+
+  /// The remaining stages. `explain` returns the estimated plan without
+  /// evaluating; `run` and `explain analyze` evaluate, the latter with a
+  /// traced profile. Call at most once.
+  Result<QueryAnswer> Execute();
+
+  /// Renders `answer` (see QueryAnswer::Rows) against the catalog this
+  /// query was planned and executed on.
+  std::vector<std::string> Rows(const QueryAnswer& answer, int limit) const;
+
+ private:
+  friend class QueryEngine;
+  /// The stage whose failure Execute() reports.
+  enum class Failed { kNone, kParse, kCheckNames, kAdmit };
+
+  /// Plans `statement`: the stages from resolve through optimize.
+  PreparedQuery(QueryEngine* engine, Result<QueryStatement> statement,
+                const safety::QueryLimits& limits, bool optimize);
+  /// The evaluate stage with its governance and telemetry (`run` and
+  /// `explain analyze`).
+  Result<QueryAnswer> Evaluate();
+
+  QueryEngine* engine_;
+  std::shared_lock<std::shared_mutex> lock_;
+  QueryVerb verb_ = QueryVerb::kRun;
+  safety::QueryLimits limits_;
+  Failed failed_ = Failed::kNone;
+  Status status_;
+  /// parsed, executed and rewrites, as planning left them.
+  QueryAnswer answer_;
+};
+
 /// The end-to-end engine: a region catalog (instance + optional RIG/schema
-/// + statistics) with parse -> validate -> optimize -> evaluate execution.
+/// + statistics) queried through the staged pipeline of PreparedQuery.
 class QueryEngine {
  public:
   /// Takes ownership of the instance. The RIG, when provided, enables
@@ -189,10 +243,11 @@ class QueryEngine {
   /// conformance.
   Status Validate() const;
 
-  /// Parses and runs `query`. Unknown region names fail with NotFound
-  /// before evaluation. `optimize` toggles the rewrite pass. The statement
-  /// verbs `explain <q>` / `explain analyze <q>` return the annotated plan
-  /// in QueryAnswer::profile (the former without executing).
+  /// Parses and runs `query` (Prepare(query, limits()).Execute()). Unknown
+  /// region names fail with NotFound before evaluation. `optimize` toggles
+  /// the rewrite pass. The statement verbs `explain <q>` / `explain analyze
+  /// <q>` return the annotated plan in QueryAnswer::profile (the former
+  /// without executing).
   Result<QueryAnswer> Run(const std::string& query, bool optimize = true);
 
   /// As above, but the run is governed by `limits` instead of the
@@ -204,23 +259,17 @@ class QueryEngine {
                           const safety::QueryLimits& limits,
                           bool optimize = true);
 
-  /// True when `query` is a plain `run` statement answerable from warm
-  /// state: after view resolution and optimization its root is either a
-  /// raw name scan (always free — borrowed from the index) or an
-  /// expression whose canonical fingerprint is resident in the result
-  /// cache. Brownout mode serves only such queries; everything else gets
-  /// a typed kOverloaded refusal. Never evaluates anything.
-  bool IsCacheResident(const std::string& query);
+  /// Plans `query` under `limits` (see PreparedQuery). Run() is
+  /// Prepare().Execute(); the query service drives the stages itself so its
+  /// brownout check and row rendering reuse one plan under one catalog hold.
+  PreparedQuery Prepare(const std::string& query,
+                        const safety::QueryLimits& limits,
+                        bool optimize = true);
 
   /// Runs an already-built expression. `profile` requests span tracing and
   /// fills QueryAnswer::profile (the `explain analyze` path).
   Result<QueryAnswer> RunExpr(const ExprPtr& expr, bool optimize = true,
                               bool profile = false);
-
-  /// Builds the estimated plan for an expression without executing it (the
-  /// `explain` path): optimizes (when requested) and annotates each node
-  /// with the cost model's cardinality estimate.
-  Result<QueryAnswer> ExplainExpr(const ExprPtr& expr, bool optimize = true);
 
   // --- Views (footnote 1 of the paper: dynamically constructed region
   // sets treated as names) ---
@@ -246,9 +295,9 @@ class QueryEngine {
   // architecture") ---
 
   /// Master switch for the parallel execution layer. When on (the default),
-  /// RunExpr installs a ParallelEvalPolicy whenever the optimizer's cost
-  /// estimate for the executed plan reaches the threshold below. Parallel
-  /// and sequential execution return bit-identical answers.
+  /// the evaluate stage installs a ParallelEvalPolicy whenever the
+  /// optimizer's cost estimate for the executed plan reaches the threshold
+  /// below. Parallel and sequential execution return bit-identical answers.
   void set_parallel_enabled(bool enabled) { parallel_enabled_ = enabled; }
   bool parallel_enabled() const { return parallel_enabled_; }
 
@@ -261,7 +310,7 @@ class QueryEngine {
   double parallel_cost_threshold() const { return parallel_cost_threshold_; }
 
   /// Tweaks the policy handed to the evaluator (pool override, kernel
-  /// min_rows, subtree concurrency) — primarily for tests and benches.
+  /// min_rows) — primarily for tests and benches.
   ParallelEvalPolicy* mutable_parallel_policy() { return &parallel_policy_; }
 
   // --- Resource governance (see safety/context.h and DESIGN.md "Resource
@@ -341,11 +390,9 @@ class QueryEngine {
   admin::AdminServer* admin_server() { return admin_server_.get(); }
 
  private:
+  friend class PreparedQuery;
   struct Checkpointer;
 
-  Result<QueryAnswer> RunExprWithLimits(const ExprPtr& expr,
-                                        const safety::QueryLimits& limits,
-                                        bool optimize, bool profile);
   Status CheckViewName(const std::string& name) const;
   /// Splices expression views into `expr` (views may reference earlier
   /// views; definition-time splicing keeps this acyclic).

@@ -65,8 +65,8 @@ struct QueryLimits {
 /// (full status, for paths that can return one) or ShouldAbort() (bool, for
 /// kernel chunk loops that bail and let the caller surface Check()).
 ///
-/// Thread-safe: concurrent subtree evaluation and kernel chunks charge and
-/// poll the same context.
+/// Thread-safe: the partitioned kernels' chunks poll the context from pool
+/// threads while the evaluator charges it.
 class QueryContext {
  public:
   using Clock = std::chrono::steady_clock;

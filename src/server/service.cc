@@ -313,10 +313,14 @@ Response QueryService::Execute(const Request& request) {
   Response response;
   response.id = request.id;
   Timer timer;
+  // The histogram times the whole handler, admission wait included, for
+  // every outcome; the wire's elapsed_ms stays the evaluator's time on
+  // success.
   auto finish = [&](bool ok) {
     response.ok = ok;
-    if (response.elapsed_ms == 0) response.elapsed_ms = timer.Millis();
-    latency_ms_->Observe(response.elapsed_ms);
+    const double handler_ms = timer.Millis();
+    if (response.elapsed_ms == 0) response.elapsed_ms = handler_ms;
+    latency_ms_->Observe(handler_ms);
     registry
         .GetCounter("regal_server_requests_total",
                     {{"tenant", request.tenant},
@@ -365,12 +369,34 @@ Response QueryService::Execute(const Request& request) {
   }
   safety::AdmissionSlot slot(admission_.get());
 
+  const bool brownout = admission_->InBrownout();
+  ApplyBrownoutTransition(brownout);
+
+  // The tenant quota's per-query limits, tightened by the request's own
+  // deadline when that is stricter.
+  safety::TenantQuota quota = governor_.QuotaFor(request.tenant);
+  safety::QueryLimits limits = quota.limits;
+  if (request.deadline_ms > 0 &&
+      (limits.deadline_ms <= 0 || request.deadline_ms < limits.deadline_ms)) {
+    limits.deadline_ms = request.deadline_ms;
+  }
+  if (brownout && options_.brownout_deadline_ms > 0 &&
+      (limits.deadline_ms <= 0 ||
+       limits.deadline_ms > options_.brownout_deadline_ms)) {
+    // Even admitted (cache-resident) work runs on a short leash while
+    // browned out: anything that turns out slow is cut, not queued.
+    limits.deadline_ms = options_.brownout_deadline_ms;
+  }
+
+  // Planned once: the brownout check, execution and row rendering share
+  // this plan and its hold on the catalog, so rows are rendered from the
+  // text the answer was computed on even if a reload lands meanwhile.
+  PreparedQuery query = hosted->Prepare(request.query, limits);
+
   // Brownout: sustained shedding degrades the service to work it can
   // still do cheaply — cache-resident answers under tight deadlines —
   // instead of failing everything slowly.
-  const bool brownout = admission_->InBrownout();
-  ApplyBrownoutTransition(brownout);
-  if (brownout && !hosted->IsCacheResident(request.query)) {
+  if (brownout && !query.CacheResident()) {
     response.retry_after_ms =
         static_cast<double>(admission_->options().interval_ms);
     registry
@@ -393,23 +419,7 @@ Response QueryService::Execute(const Request& request) {
   }
   safety::AdmissionTicket ticket(&governor_, request.tenant);
 
-  // The tenant quota's per-query limits, tightened by the request's own
-  // deadline when that is stricter.
-  safety::TenantQuota quota = governor_.QuotaFor(request.tenant);
-  safety::QueryLimits limits = quota.limits;
-  if (request.deadline_ms > 0 &&
-      (limits.deadline_ms <= 0 || request.deadline_ms < limits.deadline_ms)) {
-    limits.deadline_ms = request.deadline_ms;
-  }
-  if (brownout && options_.brownout_deadline_ms > 0 &&
-      (limits.deadline_ms <= 0 ||
-       limits.deadline_ms > options_.brownout_deadline_ms)) {
-    // Even admitted (cache-resident) work runs on a short leash while
-    // browned out: anything that turns out slow is cut, not queued.
-    limits.deadline_ms = options_.brownout_deadline_ms;
-  }
-
-  Result<QueryAnswer> answer = hosted->Run(request.query, limits);
+  Result<QueryAnswer> answer = query.Execute();
   if (!answer.ok()) return fail(answer.status());
 
   response.code = "OK";
@@ -419,8 +429,7 @@ Response QueryService::Execute(const Request& request) {
                                      : options_.default_row_limit;
   limit = std::min<int64_t>(limit, response.row_count);
   if (limit > 0) {
-    response.rows =
-        answer->Rows(hosted->instance(), static_cast<int>(limit));
+    response.rows = query.Rows(*answer, static_cast<int>(limit));
   }
   return finish(true);
 }

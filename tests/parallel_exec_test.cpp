@@ -73,16 +73,6 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   }
 }
 
-TEST(ThreadPoolTest, SubmitWaitRunsTask) {
-  for (int n : kThreadCounts) {
-    ThreadPool pool(n);
-    std::atomic<int> value{0};
-    ThreadPool::TaskHandle h = pool.Submit([&] { value.store(42); });
-    h.Wait();
-    EXPECT_EQ(value.load(), 42);
-  }
-}
-
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   for (int n : kThreadCounts) {
     ThreadPool pool(n);
@@ -91,20 +81,6 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
       pool.ParallelFor(8, [&](size_t) { total.fetch_add(1); });
     });
     EXPECT_EQ(total.load(), 64);
-  }
-}
-
-TEST(ThreadPoolTest, WaitInsideSubmittedTaskDoesNotDeadlock) {
-  for (int n : kThreadCounts) {
-    ThreadPool pool(n);
-    std::atomic<int> value{0};
-    ThreadPool::TaskHandle outer = pool.Submit([&] {
-      ThreadPool::TaskHandle inner = pool.Submit([&] { value.fetch_add(1); });
-      inner.Wait();
-      value.fetch_add(1);
-    });
-    outer.Wait();
-    EXPECT_EQ(value.load(), 2);
   }
 }
 
@@ -351,18 +327,30 @@ INSTANTIATE_TEST_SUITE_P(Threads, ParallelEvalTest,
                          ::testing::ValuesIn(kThreadCounts));
 
 TEST(ParallelEvalTest, ExplainAnalyzeStillWorksOnTheParallelPath) {
+  // Large enough that the operator splits into several chunks.
   DictionaryGeneratorOptions options;
-  options.entries = 20;
+  options.entries = 2000;
   auto engine = QueryEngine::FromSgmlSource(GenerateDictionarySource(options));
   ASSERT_TRUE(engine.ok());
+  ThreadPool pool(4);
   engine->set_parallel_cost_threshold(0);
+  engine->mutable_parallel_policy()->pool = &pool;
   engine->mutable_parallel_policy()->min_rows = 0;
+  // The traced run must still dispatch its operator to the partitioned
+  // kernels: every chunk the pool executes is counted.
+  obs::Counter* pool_tasks =
+      obs::Registry::Default().GetCounter("regal_exec_tasks_total");
+  const int64_t tasks_before = pool_tasks->value();
   auto answer = engine->Run("explain analyze sense within entry");
   ASSERT_TRUE(answer.ok());
+  EXPECT_GT(pool_tasks->value(), tasks_before);
   ASSERT_TRUE(answer->profile.has_value());
   EXPECT_TRUE(answer->profile->analyzed);
+  EXPECT_FALSE(answer->profile->degraded);
   EXPECT_EQ(answer->profile->plan.rows_out,
             static_cast<int64_t>(answer->regions.size()));
+  ASSERT_EQ(answer->profile->plan.children.size(), 2u);
+  EXPECT_GT(answer->profile->counters.Total(), 0);
 }
 
 // ---------------------------------------------------------------------------

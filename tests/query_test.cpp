@@ -242,6 +242,75 @@ TEST(EngineTest, RewritesReported) {
   EXPECT_TRUE(unoptimized->rewrites.empty());
 }
 
+// Every way of driving the query pipeline — run, explain, explain analyze
+// and the brownout residency check — plans a statement the same way.
+TEST(PipelineTest, RunExplainAndResidencyAgreeOnThePlan) {
+  DictionaryGeneratorOptions options;
+  options.entries = 40;
+  options.seed = 7;
+  auto dictionary =
+      QueryEngine::FromSgmlSource(GenerateDictionarySource(options));
+  ASSERT_TRUE(dictionary.ok()) << dictionary.status();
+  auto program = QueryEngine::FromProgramSource(kProgram);
+  ASSERT_TRUE(program.ok()) << program.status();
+  struct Case {
+    QueryEngine* engine;
+    std::vector<std::string> queries;
+  };
+  const Case cases[] = {
+      {&*dictionary,
+       {"sense within entry within dictionary",
+        "(quote within sense) | (def within sense)",
+        "entry including (headword matching \"term*\")",
+        "(sense within entry) & (sense within entry)"}},
+      {&*program,
+       {"Name within Proc_header within Proc within Program",
+        "Proc dincluding (Proc_body dincluding (Var matching \"v1\"))",
+        "Var within Proc"}},
+  };
+  auto rewrites = [](const QueryAnswer& answer) {
+    std::vector<std::string> out;
+    for (const RewriteEvent& event : answer.rewrites) {
+      out.push_back(event.ToString());
+    }
+    return out;
+  };
+  auto resident = [](QueryEngine* engine, const std::string& query) {
+    return engine->Prepare(query, engine->limits()).CacheResident();
+  };
+  for (const Case& c : cases) {
+    for (const std::string& query : c.queries) {
+      EXPECT_FALSE(resident(c.engine, query)) << query;
+      auto explained = c.engine->Run("explain " + query);
+      ASSERT_TRUE(explained.ok()) << query << ": " << explained.status();
+      EXPECT_FALSE(resident(c.engine, query)) << query;
+      auto ran = c.engine->Run(query);
+      ASSERT_TRUE(ran.ok()) << query << ": " << ran.status();
+      EXPECT_TRUE(resident(c.engine, query)) << query;
+      auto analyzed = c.engine->Run("explain analyze " + query);
+      ASSERT_TRUE(analyzed.ok()) << query << ": " << analyzed.status();
+
+      EXPECT_EQ(explained->executed->ToString(), ran->executed->ToString());
+      EXPECT_EQ(analyzed->executed->ToString(), ran->executed->ToString());
+      EXPECT_EQ(rewrites(*explained), rewrites(*ran)) << query;
+      EXPECT_EQ(rewrites(*analyzed), rewrites(*ran)) << query;
+      EXPECT_EQ(analyzed->regions, ran->regions) << query;
+      // Only plain runs are answerable from warm state.
+      EXPECT_FALSE(resident(c.engine, "explain " + query)) << query;
+      EXPECT_FALSE(resident(c.engine, "explain analyze " + query)) << query;
+    }
+  }
+  // A raw name scan is borrowed from the index, so it is always warm; a
+  // plan that fails never is.
+  EXPECT_TRUE(resident(&*dictionary, "entry"));
+  EXPECT_FALSE(resident(&*dictionary, "nope within entry"));
+  EXPECT_FALSE(resident(&*dictionary, "entry within ("));
+  // The program queries exercise at least one rewrite.
+  auto chain = program->Run("Name within Proc_header within Proc within Program");
+  ASSERT_TRUE(chain.ok());
+  EXPECT_FALSE(chain->rewrites.empty());
+}
+
 class ExplainTest : public ::testing::Test {
  protected:
   static QueryEngine MakeDictionaryEngine() {

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "query/engine.h"
 #include "recovery/durable.h"
 #include "recovery/retry.h"
@@ -759,6 +760,65 @@ TEST_F(ResilienceServiceTest, BrownoutServesCacheResidentQueriesOnly) {
   EXPECT_TRUE(recovered->ok) << recovered->message;
   EXPECT_FALSE(service_->admission().InBrownout());
   ExpectStillServing();
+}
+
+TEST_F(ResilienceServiceTest, BrownoutRefusalPrecedesTenantAdmission) {
+  auto clock = std::make_shared<std::atomic<int64_t>>(0);
+  server::ServiceOptions options;
+  options.admission = FakeClockCodelOptions(clock);
+  StartService(std::move(options));
+  {
+    auto client = server::Client::Connect("127.0.0.1", service_->port());
+    ASSERT_TRUE(client.ok()) << client.status();
+    auto warm = client->Call(MakeRequest("warm", "para within sec"));
+    ASSERT_TRUE(warm.ok()) << warm.status();
+    ASSERT_TRUE(warm->ok) << warm->message;
+  }
+  CodelHarness harness(&service_->admission());
+  DriveIntoBrownout(&service_->admission(), clock.get(), &harness);
+  ASSERT_TRUE(service_->admission().InBrownout());
+
+  // Tenant "brown" is at its concurrency cap for the rest of the test.
+  safety::TenantQuota quota;
+  quota.max_concurrent = 1;
+  service_->SetTenantQuota("brown", quota);
+  ASSERT_TRUE(service_->governor().Admit("brown").ok());
+  obs::Counter* brownout_sheds = obs::Registry::Default().GetCounter(
+      "regal_resilience_shed_total", {{"reason", "brownout"}});
+  obs::Counter* tenant_rejects = obs::Registry::Default().GetCounter(
+      "regal_server_admission_rejects_total", {{"reason", "fair_share"}});
+  const int64_t sheds_before = brownout_sheds->value();
+  const int64_t rejects_before = tenant_rejects->value();
+
+  auto client = server::Client::Connect("127.0.0.1", service_->port());
+  ASSERT_TRUE(client.ok()) << client.status();
+  // A query the cache cannot answer is refused by the brownout before the
+  // tenant's cap is consulted.
+  server::Request cold = MakeRequest("brown", "word \"alpha\"");
+  cold.priority = 1;
+  auto refused = client->Call(cold);
+  ASSERT_TRUE(refused.ok()) << refused.status();
+  EXPECT_EQ(refused->code, "OVERLOADED");
+  EXPECT_NE(refused->message.find("brownout"), std::string::npos)
+      << refused->message;
+  EXPECT_GT(refused->retry_after_ms, 0);
+  EXPECT_EQ(brownout_sheds->value(), sheds_before + 1);
+  EXPECT_EQ(tenant_rejects->value(), rejects_before);
+
+  // A resident query passes the brownout check and meets the tenant cap.
+  server::Request hot = MakeRequest("brown", "para within sec");
+  hot.priority = 1;
+  auto capped = client->Call(hot);
+  ASSERT_TRUE(capped.ok()) << capped.status();
+  EXPECT_EQ(capped->code, "RESOURCE_EXHAUSTED") << capped->message;
+  EXPECT_EQ(brownout_sheds->value(), sheds_before + 1);
+  EXPECT_EQ(tenant_rejects->value(), rejects_before + 1);
+
+  service_->governor().Release("brown");
+  auto served = client->Call(hot);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_TRUE(served->ok) << served->message;
+  EXPECT_EQ(served->row_count, 3);
 }
 
 // ---------------------------------------------------------------------------

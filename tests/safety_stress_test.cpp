@@ -630,8 +630,7 @@ TEST_F(FaultInjectionTest, RandomizedInjectionAlwaysFailsClean) {
     expected.push_back(answer->regions);
   }
 
-  const char* fatal_sites[] = {"eval.node", "exec.kernel.fault",
-                               "exec.pool.subtree"};
+  const char* fatal_sites[] = {"eval.node", "exec.kernel.fault"};
   for (const char* site : fatal_sites) {
     for (uint64_t seed = 1; seed <= 4; ++seed) {
       FailpointRegistry::Config config;

@@ -9,14 +9,20 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cerrno>
+#include <chrono>
+#include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "admin/admin_server.h"
+#include "obs/metrics.h"
 #include "query/engine.h"
 #include "safety/tenant.h"
 #include "server/client.h"
@@ -25,6 +31,7 @@
 #include "server/service.h"
 #include "util/random.h"
 #include "util/status.h"
+#include "util/timer.h"
 
 namespace regal {
 namespace {
@@ -589,6 +596,98 @@ TEST_F(QueryServiceTest, StopDrainsAndRefusesNewWork) {
   }
   // Stop is idempotent.
   service_->Stop();
+}
+
+TEST_F(QueryServiceTest, RowsRenderUnderTheCatalogTheyWereComputedOn) {
+  // Long sections, so rendering a row copies a large slice of the text.
+  std::string doc = "<doc>";
+  for (int i = 0; i < 100; ++i) {
+    doc += "<sec><para>alpha";
+    for (int j = 0; j < 150; ++j) doc += " w" + std::to_string(i * 150 + j);
+    doc += "</para></sec>";
+  }
+  doc += "</doc>";
+  auto started = server::QueryService::Start();
+  ASSERT_TRUE(started.ok()) << started.status();
+  service_ = std::move(started).value();
+  auto engine = QueryEngine::FromSgmlSource(doc);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  const std::string path = testing::TempDir() + "/server_reload_rows_" +
+                           std::to_string(getpid()) + ".regal";
+  ASSERT_TRUE(engine->SaveSnapshot(path).ok());
+  ASSERT_TRUE(
+      service_->AddInstance("corpus1", std::move(engine).value()).ok());
+  std::shared_ptr<QueryEngine> hosted = service_->engine("corpus1");
+
+  // Every reload frees the text the previous catalog's rows point into.
+  std::atomic<bool> done{false};
+  std::atomic<int> reloads{0};
+  std::thread reloader([&] {
+    while (!done.load()) {
+      EXPECT_TRUE(hosted->ReloadSnapshot(path).ok());
+      reloads.fetch_add(1);
+    }
+  });
+  constexpr int kClients = 3;
+  std::vector<server::Client> clients;
+  for (int c = 0; c < kClients; ++c) clients.push_back(Connect());
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kClients; ++c) {
+    callers.emplace_back([&, c] {
+      server::Request request = MakeRequest("t", "sec");
+      request.limit = 100;
+      for (int i = 0; i < 100 || reloads.load() < 20; ++i) {
+        auto response = clients[c].Call(request);
+        ASSERT_TRUE(response.ok()) << response.status();
+        ASSERT_TRUE(response->ok) << response->message;
+        ASSERT_EQ(response->rows.size(), 100u);
+        for (const std::string& row : response->rows) {
+          ASSERT_NE(row.find("alpha w"), std::string::npos) << row;
+        }
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  done.store(true);
+  reloader.join();
+  EXPECT_GE(reloads.load(), 20);
+  std::remove(path.c_str());
+}
+
+TEST_F(QueryServiceTest, LatencyHistogramIncludesAdmissionWait) {
+  server::ServiceOptions options;
+  options.admission.capacity = 1;
+  options.admission.max_wait_ms = 10'000;
+  options.admission.target_ms = 10'000;  // No CoDel shedding here.
+  StartService(std::move(options));
+  obs::Histogram* latency = obs::Registry::Default().GetHistogram(
+      "regal_server_request_latency_ms");
+  const int64_t count_before = latency->count();
+  const double sum_before = latency->sum();
+
+  // Hold the only execution slot so the request waits in admission.
+  ASSERT_EQ(service_->admission().Admit(1).outcome,
+            safety::AdmitOutcome::kAdmitted);
+  server::Client client = Connect();
+  std::optional<Result<server::Response>> response;
+  std::thread caller([&] {
+    response.emplace(client.Call(MakeRequest("t", "para within sec")));
+  });
+  while (service_->admission().Snapshot().queued < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Timer held;
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const double held_ms = held.Millis();
+  service_->admission().Leave();
+  caller.join();
+
+  ASSERT_TRUE(response->ok()) << response->status();
+  EXPECT_TRUE((*response)->ok) << (*response)->message;
+  EXPECT_EQ(latency->count(), count_before + 1);
+  EXPECT_GE(latency->sum() - sum_before, held_ms);
+  // The wire's elapsed_ms stays the evaluator's own time.
+  EXPECT_LT((*response)->elapsed_ms, held_ms);
 }
 
 TEST_F(QueryServiceTest, AdminEndpointShowsServiceAndTenantSections) {
