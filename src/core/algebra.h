@@ -2,19 +2,13 @@
 #define REGAL_CORE_ALGEBRA_H_
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "core/region.h"
 #include "core/region_set.h"
 #include "text/tokenizer.h"
-#include "util/rmq.h"
 
 namespace regal {
-
-namespace simd {
-struct KernelTable;
-}  // namespace simd
 
 /// Efficient implementations of the region algebra operators of
 /// Definition 2.3. All inputs/outputs are document-ordered RegionSets; no
@@ -23,8 +17,9 @@ struct KernelTable;
 /// assumption.
 ///
 /// Complexities: set operations are linear merges; the structural
-/// semi-joins (Including/Included/Select) run in O((|R|+|S|) log |S|) using
-/// a sparse-table index over S; Precedes/Follows are O(|R| + |S|).
+/// semi-joins (Including/Included/Select) are one O(|R| + |S|) forward walk
+/// over both operands against an endpoint array of S (ContainmentIndex);
+/// Precedes/Follows are O(|R| + |S|).
 ///
 /// `naive::` holds O(|R|*|S|) reference implementations used as oracles by
 /// the property tests and as the baseline in bench_operators (experiment E8).
@@ -49,51 +44,65 @@ RegionSet Follows(const RegionSet& r, const RegionSet& s);
 /// containing (not necessarily strictly) at least one matching token.
 RegionSet SelectByTokens(const RegionSet& r, const std::vector<Token>& tokens);
 
-/// A reusable index over a fixed region set S answering the existential
-/// tests behind the structural semi-joins in O(log |S|) per probe. Built in
-/// O(|S| log |S|). The extended operators (both-included) reuse it.
+/// One O(|S|) endpoint array over a fixed region set S, in S's document
+/// order, behind the structural semi-joins and the both-included operator:
+///
+///  * kSuffixMin: bound[i] = min right endpoint of S[i..n). Any s with
+///    left(s) > right(r) also has right(s) > right(r), so "some s with
+///    left(s) >= x lies inside r" is just bound[first index with left >= x]
+///    <= right(r), with no upper limit on the lefts.
+///  * kPrefixMax: bound[i] = max right endpoint of S[0..i].
+///
+/// R is walked in document order (left ascending), so the first indices of
+/// S with left >= left(r) and left > left(r) only move forward: one walk
+/// answers every r in O(|R| + |S|). Each walk starts with one binary search
+/// for its first left endpoint, so the partitioned kernels of
+/// exec/parallel_algebra.cc run the same walk per chunk of R.
 class ContainmentIndex {
  public:
-  ContainmentIndex() = default;
-  explicit ContainmentIndex(const RegionSet& s);
+  enum Kind { kSuffixMin, kPrefixMax };
 
-  /// ∃s ∈ S strictly included in r.
-  bool ExistsIncludedIn(const Region& r) const;
-  /// ∃s ∈ S strictly including r.
-  bool ExistsIncluding(const Region& r) const;
-  /// ∃s ∈ S with s contained in r, allowing s == r.
-  bool ExistsContainedIn(const Region& r) const;
+  ContainmentIndex(const RegionSet& s, Kind kind);
+  /// A kSuffixMin index over a token list sorted by left endpoint, as
+  /// WordIndex::Matches returns it.
+  explicit ContainmentIndex(const std::vector<Token>& tokens);
 
-  /// Batched forms of the existential tests: keep[i] = whether the predicate
-  /// holds for b[i], for all n query regions. Equivalent to calling the
-  /// corresponding Exists* per element, but the left-endpoint binary
-  /// searches are batched through the SIMD lower-bound kernel (8 probes per
-  /// gather on AVX2). `kernels` selects the kernel tier; nullptr means the
-  /// process-wide active set. The structural semi-joins and their
-  /// partitioned parallel counterparts both route through these.
-  void ProbeIncludedIn(const Region* b, size_t n, unsigned char* keep,
-                       const simd::KernelTable* kernels = nullptr) const;
-  void ProbeIncluding(const Region* b, size_t n, unsigned char* keep,
-                      const simd::KernelTable* kernels = nullptr) const;
-  void ProbeContainedIn(const Region* b, size_t n, unsigned char* keep,
-                        const simd::KernelTable* kernels = nullptr) const;
+  /// Append to `out`, in order, each r of the document-ordered span [b, e)
+  /// that strictly includes some s ∈ S (R ⊃ S; needs kSuffixMin).
+  void WalkIncluding(const Region* b, const Region* e,
+                     std::vector<Region>* out) const;
+  /// ... that some s ∈ S strictly includes (R ⊂ S; needs kPrefixMax).
+  void WalkIncluded(const Region* b, const Region* e,
+                    std::vector<Region>* out) const;
+  /// ... that contains some s ∈ S, allowing s == r (σ_p; needs kSuffixMin).
+  void WalkContaining(const Region* b, const Region* e,
+                      std::vector<Region>* out) const;
 
   /// Smallest right endpoint among S-regions contained in r (equality with
-  /// r allowed); returns false if none.
+  /// r allowed); returns false if none. Needs kSuffixMin.
   bool MinRightContainedIn(const Region& r, Offset* out) const;
-  /// Largest left endpoint among S-regions contained in r.
+  /// Largest left endpoint among S-regions contained in r. Needs kSuffixMin.
   bool MaxLeftContainedIn(const Region& r, Offset* out) const;
 
-  bool empty() const { return lefts_.empty(); }
+  bool empty() const { return entries_.empty(); }
 
  private:
-  /// Index range [lo, hi) of S whose left endpoints lie in [a, b].
-  std::pair<size_t, size_t> LeftRange(Offset a, Offset b) const;
+  struct Entry {
+    Offset left;   // Ascending (S's document order).
+    Offset bound;  // The Kind's running extreme of right endpoints.
+  };
 
-  std::vector<Offset> lefts_;   // Sorted ascending (document order majors).
-  std::vector<Offset> rights_;  // Parallel to lefts_.
-  SparseTable<Offset> min_right_;
-  SparseTable<Offset, std::greater<Offset>> max_right_;
+  template <typename Seq>
+  void Build(const Seq& s, Kind kind);
+  /// The forward walk: appends each r of [b, e) for which keep(r, a0, a1)
+  /// holds, where a0 / a1 are the first indices with left >= / > left(r).
+  template <typename Keep>
+  void Walk(const Region* b, const Region* e, std::vector<Region>* out,
+            Keep keep) const;
+  /// First index whose left endpoint is >= left.
+  size_t FirstAtOrAfter(Offset left) const;
+
+  std::vector<Entry> entries_;
 };
 
 namespace naive {

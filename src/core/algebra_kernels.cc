@@ -74,12 +74,6 @@ Offset MinRightEndpoint(const Region* b, size_t n) {
   return Active().min_right(b, n);
 }
 
-void LowerBoundOffsets(const Offset* arr, size_t n, const Offset* q, size_t m,
-                       uint32_t* out) {
-  DispatchCounter()->Increment();
-  Active().lower_bound_offsets(arr, n, q, m, out);
-}
-
 void FlushCounters(const obs::OpCounters& counters) {
   if (obs::OpCounters* sink = obs::CountersSink()) sink->Add(counters);
 }

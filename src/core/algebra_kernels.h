@@ -66,12 +66,6 @@ void FilterLeftAfter(const Region* b, size_t n, Offset bound,
 /// Minimum right endpoint over [b, b+n); n must be > 0.
 Offset MinRightEndpoint(const Region* b, size_t n);
 
-/// Batched lower_bound: out[i] = index of the first element of the sorted
-/// array arr[0, n) that is >= q[i], for each of the m queries. Wide tiers
-/// resolve 8 probes per gather instruction.
-void LowerBoundOffsets(const Offset* arr, size_t n, const Offset* q, size_t m,
-                       uint32_t* out);
-
 /// Adds `counters` to the calling thread's obs sink, if one is installed —
 /// the flush half of the tally-locally/flush-once discipline of
 /// core/algebra.cc, exposed here so the parallel kernels follow it too.

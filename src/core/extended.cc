@@ -37,8 +37,8 @@ RegionSet DirectIncluded(const Instance& instance, const RegionSet& r,
 
 RegionSet BothIncluded(const RegionSet& r, const RegionSet& s,
                        const RegionSet& t) {
-  ContainmentIndex s_index(s);
-  ContainmentIndex t_index(t);
+  const ContainmentIndex s_index(s, ContainmentIndex::kSuffixMin);
+  const ContainmentIndex t_index(t, ContainmentIndex::kSuffixMin);
   std::vector<Region> out;
   for (const Region& x : r) {
     Offset first_s_end;

@@ -1,7 +1,6 @@
 #include "exec/parallel_algebra.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "core/algebra.h"
 #include "core/algebra_kernels.h"
@@ -29,10 +28,13 @@ int PartitionCount(const ParallelConfig& cfg, size_t rows) {
       std::min(static_cast<size_t>(lanes), by_rows));
 }
 
-void CountParallelDispatch(const char* op) {
-  obs::Registry::Default()
-      .GetCounter("regal_exec_parallel_ops_total", {{"op", op}})
-      ->Increment();
+// The series of regal_exec_parallel_ops_total for one operator. Each
+// operator resolves its handle once into a function-local static: the op
+// label set is fixed, and Registry::Default() is never cleared (only tests'
+// local registries are), so a held handle never dangles.
+obs::Counter* ParallelOpsCounter(const char* op) {
+  return obs::Registry::Default().GetCounter("regal_exec_parallel_ops_total",
+                                             {{"op", op}});
 }
 
 // Degradation failpoint shared by every kernel: when "exec.kernel.degrade"
@@ -50,11 +52,6 @@ bool DegradeKernel(const char* op, const ParallelConfig& cfg) {
     cfg.fallbacks->fetch_add(1, std::memory_order_relaxed);
   }
   return true;
-}
-
-// Same per-probe comparison charge as core/algebra.cc.
-int64_t ProbeDepth(size_t n) {
-  return static_cast<int64_t>(std::bit_width(n) + 1);
 }
 
 std::vector<Region> Concatenate(std::vector<std::vector<Region>>* chunks) {
@@ -75,7 +72,7 @@ using MergeKernel = void (*)(const Region*, const Region*, const Region*,
 // [R[cut_k], R[cut_{k+1}})), and runs `kernel` per chunk on the pool. Chunk
 // outputs cover disjoint, increasing endpoint intervals, so concatenation is
 // the full sorted merge.
-RegionSet PartitionedMerge(const char* op, const RegionSet& r,
+RegionSet PartitionedMerge(obs::Counter* ops, const RegionSet& r,
                            const RegionSet& s, MergeKernel kernel,
                            const ParallelConfig& cfg) {
   const Region* rd = r.regions().data();
@@ -117,7 +114,7 @@ RegionSet PartitionedMerge(const char* op, const RegionSet& r,
   obs::OpCounters total;
   for (const obs::OpCounters& c : counters) total.Add(c);
   kernels::FlushCounters(total);
-  CountParallelDispatch(op);
+  ops->Increment();
   return RegionSet::FromSortedUnique(Concatenate(&outs));
 }
 
@@ -134,27 +131,23 @@ obs::OpCounters FilterCharge(size_t rows, const obs::OpCounters& per_element,
   return total;
 }
 
-// Partitioned batched-probe filter of R: chunk k runs `probe` (one of the
-// ContainmentIndex::Probe* batch predicates) over R[cut_k, cut_{k+1}) into a
-// chunk-local keep mask and collects the marked elements. The probes batch
-// their binary searches through the SIMD lower-bound kernel; chunking only
-// changes tile boundaries, never the per-element answers.
-template <typename Probe>
-RegionSet PartitionedProbeFilter(const char* op, const RegionSet& r,
-                                 Probe probe,
-                                 const obs::OpCounters& per_element,
-                                 const obs::OpCounters& fixed,
-                                 const ParallelConfig& cfg) {
+// Partitioned order-preserving filter of R: chunk k runs
+// `filter(begin, end, out)` over R[cut_k, cut_{k+1}) straight into its own
+// output vector, and the chunk outputs concatenate to the full filtered set.
+// The semi-join walks start each chunk with one binary search for its first
+// left endpoint; the endpoint filters behind Precedes/Follows are stateless.
+// Either way chunking never changes a per-element answer.
+template <typename Filter>
+RegionSet PartitionedFilter(obs::Counter* ops, const RegionSet& r,
+                            Filter filter, const obs::OpCounters& per_element,
+                            const obs::OpCounters& fixed,
+                            const ParallelConfig& cfg) {
   const Region* rd = r.regions().data();
   const obs::OpCounters total = FilterCharge(r.size(), per_element, fixed);
   const int parts = PartitionCount(cfg, r.size());
   if (parts <= 1) {
-    std::vector<unsigned char> keep(r.size());
-    probe(rd, r.size(), keep.data());
     std::vector<Region> out;
-    for (size_t i = 0; i < r.size(); ++i) {
-      if (keep[i]) out.push_back(rd[i]);
-    }
+    filter(rd, rd + r.size(), &out);
     kernels::FlushCounters(total);
     return RegionSet::FromSortedUnique(std::move(out));
   }
@@ -162,51 +155,30 @@ RegionSet PartitionedProbeFilter(const char* op, const RegionSet& r,
   std::vector<std::vector<Region>> outs(np);
   PoolOf(cfg).ParallelFor(np, [&](size_t k) {
     if (cfg.ctx != nullptr && cfg.ctx->ShouldAbort()) return;
-    const size_t begin = k * r.size() / np;
-    const size_t end = (k + 1) * r.size() / np;
-    std::vector<unsigned char> keep(end - begin);
-    probe(rd + begin, end - begin, keep.data());
-    for (size_t i = begin; i < end; ++i) {
-      if (keep[i - begin]) outs[k].push_back(rd[i]);
-    }
+    filter(rd + k * r.size() / np, rd + (k + 1) * r.size() / np, &outs[k]);
   });
   kernels::FlushCounters(total);
-  CountParallelDispatch(op);
+  ops->Increment();
   return RegionSet::FromSortedUnique(Concatenate(&outs));
 }
 
-// Partitioned endpoint filter of R behind Precedes/Follows: chunk k runs the
-// dispatched left-packing filter kernel over its slice straight into its
-// output vector. Order-preserving per chunk, so concatenation is the full
-// filtered set.
-using FilterKernel = void (*)(const Region*, size_t, Offset,
-                              std::vector<Region>*);
-
-RegionSet PartitionedEndpointFilter(const char* op, const RegionSet& r,
-                                    FilterKernel kernel, Offset bound,
-                                    const obs::OpCounters& per_element,
-                                    const obs::OpCounters& fixed,
-                                    const ParallelConfig& cfg) {
-  const Region* rd = r.regions().data();
-  const obs::OpCounters total = FilterCharge(r.size(), per_element, fixed);
-  const int parts = PartitionCount(cfg, r.size());
-  if (parts <= 1) {
-    std::vector<Region> out;
-    kernel(rd, r.size(), bound, &out);
-    kernels::FlushCounters(total);
-    return RegionSet::FromSortedUnique(std::move(out));
-  }
-  const size_t np = static_cast<size_t>(parts);
-  std::vector<std::vector<Region>> outs(np);
-  PoolOf(cfg).ParallelFor(np, [&](size_t k) {
-    if (cfg.ctx != nullptr && cfg.ctx->ShouldAbort()) return;
-    const size_t begin = k * r.size() / np;
-    const size_t end = (k + 1) * r.size() / np;
-    kernel(rd + begin, end - begin, bound, &outs[k]);
-  });
-  kernels::FlushCounters(total);
-  CountParallelDispatch(op);
-  return RegionSet::FromSortedUnique(Concatenate(&outs));
+// Partitioned structural semi-join: runs one of the ContainmentIndex walks
+// per chunk, charged like the sequential operators (obs/counters.h): one
+// comparison and merge step per element of R and of S, one probe per
+// element of R.
+RegionSet PartitionedSemiJoin(obs::Counter* ops, const RegionSet& r,
+                              size_t s_rows, const ContainmentIndex& index,
+                              void (ContainmentIndex::*walk)(
+                                  const Region*, const Region*,
+                                  std::vector<Region>*) const,
+                              const ParallelConfig& cfg) {
+  const auto s = static_cast<int64_t>(s_rows);
+  return PartitionedFilter(
+      ops, r,
+      [&](const Region* b, const Region* e, std::vector<Region>* out) {
+        (index.*walk)(b, e, out);
+      },
+      obs::OpCounters{1, 1, 1}, obs::OpCounters{s, s, 0}, cfg);
 }
 
 bool BelowGate(const ParallelConfig& cfg, size_t rows) {
@@ -219,52 +191,49 @@ RegionSet ParallelUnion(const RegionSet& r, const RegionSet& s,
                         const ParallelConfig& cfg) {
   if (BelowGate(cfg, r.size() + s.size())) return Union(r, s);
   if (DegradeKernel("union", cfg)) return Union(r, s);
+  static obs::Counter* const ops = ParallelOpsCounter("union");
   // Union is symmetric; partition the longer operand for balance.
   const RegionSet& a = r.size() >= s.size() ? r : s;
   const RegionSet& b = r.size() >= s.size() ? s : r;
-  return PartitionedMerge("union", a, b, &kernels::UnionSpan, cfg);
+  return PartitionedMerge(ops, a, b, &kernels::UnionSpan, cfg);
 }
 
 RegionSet ParallelIntersect(const RegionSet& r, const RegionSet& s,
                             const ParallelConfig& cfg) {
   if (BelowGate(cfg, r.size() + s.size())) return Intersect(r, s);
   if (DegradeKernel("intersect", cfg)) return Intersect(r, s);
+  static obs::Counter* const ops = ParallelOpsCounter("intersect");
   const RegionSet& a = r.size() >= s.size() ? r : s;
   const RegionSet& b = r.size() >= s.size() ? s : r;
-  return PartitionedMerge("intersect", a, b, &kernels::IntersectSpan, cfg);
+  return PartitionedMerge(ops, a, b, &kernels::IntersectSpan, cfg);
 }
 
 RegionSet ParallelDifference(const RegionSet& r, const RegionSet& s,
                              const ParallelConfig& cfg) {
   if (BelowGate(cfg, r.size() + s.size())) return Difference(r, s);
   if (DegradeKernel("difference", cfg)) return Difference(r, s);
-  return PartitionedMerge("difference", r, s, &kernels::DifferenceSpan, cfg);
+  static obs::Counter* const ops = ParallelOpsCounter("difference");
+  return PartitionedMerge(ops, r, s, &kernels::DifferenceSpan, cfg);
 }
 
 RegionSet ParallelIncluding(const RegionSet& r, const RegionSet& s,
                             const ParallelConfig& cfg) {
   if (BelowGate(cfg, r.size() + s.size())) return Including(r, s);
   if (DegradeKernel("including", cfg)) return Including(r, s);
-  ContainmentIndex index(s);
-  return PartitionedProbeFilter(
-      "including", r,
-      [&index](const Region* b, size_t n, unsigned char* keep) {
-        index.ProbeIncludedIn(b, n, keep);
-      },
-      obs::OpCounters{ProbeDepth(s.size()), 0, 1}, obs::OpCounters{}, cfg);
+  static obs::Counter* const ops = ParallelOpsCounter("including");
+  const ContainmentIndex index(s, ContainmentIndex::kSuffixMin);
+  return PartitionedSemiJoin(ops, r, s.size(), index,
+                             &ContainmentIndex::WalkIncluding, cfg);
 }
 
 RegionSet ParallelIncluded(const RegionSet& r, const RegionSet& s,
                            const ParallelConfig& cfg) {
   if (BelowGate(cfg, r.size() + s.size())) return Included(r, s);
   if (DegradeKernel("included", cfg)) return Included(r, s);
-  ContainmentIndex index(s);
-  return PartitionedProbeFilter(
-      "included", r,
-      [&index](const Region* b, size_t n, unsigned char* keep) {
-        index.ProbeIncluding(b, n, keep);
-      },
-      obs::OpCounters{ProbeDepth(s.size()), 0, 1}, obs::OpCounters{}, cfg);
+  static obs::Counter* const ops = ParallelOpsCounter("included");
+  const ContainmentIndex index(s, ContainmentIndex::kPrefixMax);
+  return PartitionedSemiJoin(ops, r, s.size(), index,
+                             &ContainmentIndex::WalkIncluded, cfg);
 }
 
 RegionSet ParallelPrecedes(const RegionSet& r, const RegionSet& s,
@@ -277,10 +246,15 @@ RegionSet ParallelPrecedes(const RegionSet& r, const RegionSet& s,
                         static_cast<int64_t>(r.size()), 0});
     return RegionSet();
   }
+  static obs::Counter* const ops = ParallelOpsCounter("precedes");
   const Offset max_left = s[s.size() - 1].left;
-  return PartitionedEndpointFilter("precedes", r, &kernels::FilterRightBefore,
-                                   max_left, obs::OpCounters{1, 1, 0},
-                                   obs::OpCounters{0, 1, 0}, cfg);
+  return PartitionedFilter(
+      ops, r,
+      [max_left](const Region* b, const Region* e, std::vector<Region>* out) {
+        kernels::FilterRightBefore(b, static_cast<size_t>(e - b), max_left,
+                                   out);
+      },
+      obs::OpCounters{1, 1, 0}, obs::OpCounters{0, 1, 0}, cfg);
 }
 
 RegionSet ParallelFollows(const RegionSet& r, const RegionSet& s,
@@ -293,9 +267,13 @@ RegionSet ParallelFollows(const RegionSet& r, const RegionSet& s,
                         static_cast<int64_t>(r.size() + s.size()), 0});
     return RegionSet();
   }
+  static obs::Counter* const ops = ParallelOpsCounter("follows");
   const Offset min_right = kernels::MinRightEndpoint(s.regions().data(), s.size());
-  return PartitionedEndpointFilter(
-      "follows", r, &kernels::FilterLeftAfter, min_right,
+  return PartitionedFilter(
+      ops, r,
+      [min_right](const Region* b, const Region* e, std::vector<Region>* out) {
+        kernels::FilterLeftAfter(b, static_cast<size_t>(e - b), min_right, out);
+      },
       obs::OpCounters{1, 1, 0},
       obs::OpCounters{0, static_cast<int64_t>(s.size()), 0}, cfg);
 }
@@ -307,17 +285,10 @@ RegionSet ParallelSelectByTokens(const RegionSet& r,
     return SelectByTokens(r, tokens);
   }
   if (DegradeKernel("select", cfg)) return SelectByTokens(r, tokens);
-  std::vector<Region> as_regions;
-  as_regions.reserve(tokens.size());
-  for (const Token& t : tokens) as_regions.push_back(Region{t.left, t.right});
-  ContainmentIndex index(RegionSet::FromUnsorted(std::move(as_regions)));
-  return PartitionedProbeFilter(
-      "select", r,
-      [&index](const Region* b, size_t n, unsigned char* keep) {
-        index.ProbeContainedIn(b, n, keep);
-      },
-      obs::OpCounters{ProbeDepth(tokens.size()), 0, 1}, obs::OpCounters{},
-      cfg);
+  static obs::Counter* const ops = ParallelOpsCounter("select");
+  const ContainmentIndex index(tokens);
+  return PartitionedSemiJoin(ops, r, tokens.size(), index,
+                             &ContainmentIndex::WalkContaining, cfg);
 }
 
 }  // namespace exec

@@ -35,17 +35,19 @@ struct ParallelConfig {
 };
 
 /// Data-parallel versions of the hot region-algebra operators. Each one
-/// partitions the left operand into contiguous document-order chunks, pairs
-/// every chunk with the binary-searched window of the right operand covering
-/// the same endpoint range, runs the *same* span kernels / probe predicates
-/// as the sequential operators per chunk on the pool, and concatenates the
-/// per-chunk outputs. Chunks are endpoint-ordered, so the concatenation is
-/// sorted and the result is bit-identical to the sequential operator —
-/// enforced by tests/parallel_exec_test.cpp across thread counts.
+/// partitions the left operand into contiguous document-order chunks, runs
+/// the *same* code as the sequential operator per chunk on the pool — the
+/// set merges pair each chunk with the binary-searched window of the right
+/// operand covering the same endpoint range; the semi-join walks start each
+/// chunk with one binary search into the shared endpoint array — and
+/// concatenates the per-chunk outputs. Chunks are endpoint-ordered, so the
+/// concatenation is sorted and the result is bit-identical to the
+/// sequential operator — enforced by tests/parallel_exec_test.cpp across
+/// thread counts.
 ///
-/// Operator work counters are tallied per chunk and flushed to the calling
-/// thread's obs sink once, so `explain analyze` totals match the sequential
-/// path. Inputs below cfg.min_rows short-circuit to the sequential operator.
+/// Operator work counters are tallied per chunk (or charged analytically,
+/// for the filters) and flushed to the calling thread's obs sink once, so
+/// `explain analyze` totals match the sequential path. Inputs below cfg.min_rows short-circuit to the sequential operator.
 RegionSet ParallelUnion(const RegionSet& r, const RegionSet& s,
                         const ParallelConfig& cfg = {});
 RegionSet ParallelIntersect(const RegionSet& r, const RegionSet& s,

@@ -13,38 +13,44 @@ namespace exec {
 
 namespace {
 
-// Registry updates fetch the metric fresh each time: pointers cached across
-// obs::Registry::Clear() (used for test/bench isolation) would dangle.
-// Dispatch bookkeeping still happens on the calling thread only;
-// ActiveLaneScope additionally updates the utilization gauge from whichever
-// lane runs the work, which is safe for the same fetch-fresh reason.
+// The pool's metric handles, resolved once: Registry::Default() is never
+// cleared (only tests' local registries are), so held handles never dangle.
+struct PoolMetrics {
+  obs::Gauge* queue_depth;
+  obs::Counter* tasks;
+  obs::Counter* steals;
+  obs::Gauge* active_lanes;
+};
+
+const PoolMetrics& Metrics() {
+  static const PoolMetrics metrics = [] {
+    obs::Registry& registry = obs::Registry::Default();
+    return PoolMetrics{registry.GetGauge("regal_exec_queue_depth"),
+                       registry.GetCounter("regal_exec_tasks_total"),
+                       registry.GetCounter("regal_exec_steals_total"),
+                       registry.GetGauge("regal_exec_active_lanes")};
+  }();
+  return metrics;
+}
+
+// Dispatch bookkeeping happens on the calling thread only.
 void RecordDispatch(size_t queue_depth, int64_t tasks, int64_t steals) {
-  obs::Registry& registry = obs::Registry::Default();
-  registry.GetGauge("regal_exec_queue_depth")
-      ->Set(static_cast<double>(queue_depth));
-  if (tasks > 0) registry.GetCounter("regal_exec_tasks_total")->Increment(tasks);
-  if (steals > 0) {
-    registry.GetCounter("regal_exec_steals_total")->Increment(steals);
-  }
+  const PoolMetrics& m = Metrics();
+  m.queue_depth->Set(static_cast<double>(queue_depth));
+  if (tasks > 0) m.tasks->Increment(tasks);
+  if (steals > 0) m.steals->Increment(steals);
 }
 
 // Up-down gauge of lanes currently executing pool work — the utilization
-// numerator against the regal_exec_threads denominator. One registry fetch
-// + two atomic adds per lane *participation* (one lane's share of a
-// ParallelFor), not per claimed index, so the always-on cost is amortized
-// over the chunk work the lane does.
+// numerator against the regal_exec_threads denominator. Two atomic adds per
+// lane *participation* (one lane's share of a ParallelFor), not per claimed
+// index, from whichever lane runs the work.
 class ActiveLaneScope {
  public:
-  ActiveLaneScope()
-      : gauge_(obs::Registry::Default().GetGauge("regal_exec_active_lanes")) {
-    gauge_->Add(1);
-  }
-  ~ActiveLaneScope() { gauge_->Add(-1); }
+  ActiveLaneScope() { Metrics().active_lanes->Add(1); }
+  ~ActiveLaneScope() { Metrics().active_lanes->Add(-1); }
   ActiveLaneScope(const ActiveLaneScope&) = delete;
   ActiveLaneScope& operator=(const ActiveLaneScope&) = delete;
-
- private:
-  obs::Gauge* gauge_;
 };
 
 }  // namespace

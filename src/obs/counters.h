@@ -19,10 +19,16 @@ namespace obs {
 ///    tiers; naive oracles count their inner-loop iterations, so the
 ///    quadratic/linear gap of E8 is directly visible in this counter.
 ///  * `merge_steps`  — input elements consumed by linear sweeps (set
-///    operations, order semi-joins, token merges).
+///    operations, order and structural semi-joins, token merges).
 ///  * `index_probes` — point lookups against an index structure: one per
-///    ContainmentIndex existence test and one per suffix-array/vocabulary
-///    probe in the word indexes.
+///    region of R tested by a structural semi-join and one per
+///    suffix-array/vocabulary probe in the word indexes.
+///
+/// The structural semi-joins (⊃, ⊂, σ_p) are charged analytically: a walk
+/// over R and S charges |R| + |S| comparisons, |R| + |S| merge steps and
+/// |R| index probes (|S| is the token count for σ_p). The charge is the same
+/// however the partitioned kernels chunk R, so sequential and parallel runs
+/// report identical counters.
 ///
 /// Collection is opt-in via a thread-local sink: operators tally into stack
 /// locals (free — they live in registers) and flush once per call *only*

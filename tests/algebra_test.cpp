@@ -98,7 +98,7 @@ TEST(AlgebraTest, SelectByTokensContainment) {
 
 TEST(ContainmentIndexTest, MinMaxQueries) {
   RegionSet s{Region{2, 4}, Region{6, 8}, Region{10, 12}};
-  ContainmentIndex index(s);
+  ContainmentIndex index(s, ContainmentIndex::kSuffixMin);
   Offset v = -1;
   ASSERT_TRUE(index.MinRightContainedIn(Region{0, 20}, &v));
   EXPECT_EQ(v, 4);
@@ -112,13 +112,16 @@ TEST(ContainmentIndexTest, MinMaxQueries) {
 }
 
 TEST(ContainmentIndexTest, EmptyIndex) {
-  ContainmentIndex index((RegionSet()));
+  ContainmentIndex index(RegionSet(), ContainmentIndex::kSuffixMin);
   Offset v;
   EXPECT_TRUE(index.empty());
-  EXPECT_FALSE(index.ExistsIncludedIn(Region{0, 10}));
-  EXPECT_FALSE(index.ExistsIncluding(Region{0, 10}));
   EXPECT_FALSE(index.MinRightContainedIn(Region{0, 10}, &v));
   EXPECT_FALSE(index.MaxLeftContainedIn(Region{0, 10}, &v));
+  // Against an empty S the semi-joins keep nothing.
+  const RegionSet r{Region{0, 10}, Region{2, 3}};
+  EXPECT_TRUE(Including(r, RegionSet()).empty());
+  EXPECT_TRUE(Included(r, RegionSet()).empty());
+  EXPECT_TRUE(SelectByTokens(r, {}).empty());
 }
 
 // Property tests: the efficient operators agree with the O(n*m) reference

@@ -8,20 +8,24 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/algebra.h"
 #include "core/eval.h"
+#include "core/extended.h"
 #include "doc/dictionary.h"
 #include "doc/synthetic.h"
 #include "exec/parallel_algebra.h"
 #include "exec/parallel_text.h"
 #include "exec/thread_pool.h"
 #include "index/word_index.h"
+#include "obs/counters.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -198,6 +202,208 @@ TEST_P(ParallelKernelTest, SelectByTokensMatchesSequential) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelKernelTest,
                          ::testing::ValuesIn(kThreadCounts));
+
+// ---------------------------------------------------------------------------
+// The structural semi-joins' forward walk (core/algebra.cc ContainmentIndex)
+// against the naive oracles on arbitrary, non-laminar sets: every case runs
+// sequentially and partitioned on a 4-lane pool with min_rows forced to 0,
+// and the two must agree bit for bit, with identical analytic counters.
+
+constexpr Offset kMaxOffset = std::numeric_limits<Offset>::max();
+
+// Arbitrary regions in runs of up to `run` equal left endpoints with
+// different rights, mixed with one-point regions and regions ending at the
+// Offset maximum. Lefts are drawn from [base, base + span).
+RegionSet WalkStressSet(Rng& rng, size_t n, Offset base, Offset span,
+                        size_t run) {
+  std::vector<Region> regions;
+  while (regions.size() < n) {
+    const Offset left =
+        base + static_cast<Offset>(rng.Below(static_cast<uint64_t>(span)));
+    const size_t len = 1 + rng.Below(run);
+    for (size_t i = 0; i < len; ++i) {
+      const int64_t right = left + static_cast<int64_t>(rng.Below(40));
+      switch (rng.Below(8)) {
+        case 0:
+          regions.push_back(Region{left, left});
+          break;
+        case 1:
+          regions.push_back(Region{left, kMaxOffset});
+          break;
+        default:
+          regions.push_back(Region{
+              left, static_cast<Offset>(std::min<int64_t>(right, kMaxOffset))});
+      }
+    }
+  }
+  return RegionSet::FromUnsorted(std::move(regions));
+}
+
+// S's regions as a token list, in S's (left-ascending) order.
+std::vector<Token> AsTokens(const RegionSet& s) {
+  std::vector<Token> tokens;
+  for (const Region& x : s) tokens.push_back(Token{x.left, x.right});
+  return tokens;
+}
+
+// Runs `op` under a fresh counter sink and returns its result and counters.
+template <typename Op>
+std::pair<RegionSet, obs::OpCounters> Counted(Op op) {
+  obs::OpCounters counters;
+  obs::OpCounters* previous = obs::SwapCountersSink(&counters);
+  RegionSet out = op();
+  obs::SwapCountersSink(previous);
+  return {std::move(out), counters};
+}
+
+void ExpectCountersEqual(const obs::OpCounters& want,
+                         const obs::OpCounters& got, const std::string& what) {
+  EXPECT_EQ(want.comparisons, got.comparisons) << what;
+  EXPECT_EQ(want.merge_steps, got.merge_steps) << what;
+  EXPECT_EQ(want.index_probes, got.index_probes) << what;
+}
+
+// One semi-join, three ways: the naive oracle, the sequential walk and the
+// partitioned walk. The walks must equal the oracle, and each other in
+// output and counters; both charge |R| + |S| comparisons and merge steps
+// and |R| probes, however R is chunked.
+template <typename Naive, typename Seq, typename Par>
+void ExpectSemiJoin(const std::string& what, size_t r_rows, size_t s_rows,
+                    Naive naive_op, Seq seq_op, Par par_op) {
+  const RegionSet want = naive_op();
+  const auto [seq, seq_c] = Counted(seq_op);
+  const auto [par, par_c] = Counted(par_op);
+  EXPECT_EQ(want, seq) << what << " sequential";
+  EXPECT_EQ(seq.regions(), par.regions()) << what << " partitioned";
+  const auto both = static_cast<int64_t>(r_rows + s_rows);
+  ExpectCountersEqual(obs::OpCounters{both, both, static_cast<int64_t>(r_rows)},
+                      seq_c, what + " sequential counters");
+  ExpectCountersEqual(seq_c, par_c, what + " partitioned counters");
+}
+
+void ExpectWalksMatchNaive(const RegionSet& r, const RegionSet& s,
+                           const std::string& what) {
+  ThreadPool pool(4);
+  const ParallelConfig cfg{&pool, /*min_rows=*/0, /*max_partitions=*/0};
+  const std::vector<Token> tokens = AsTokens(s);
+  ExpectSemiJoin(
+      what + " including", r.size(), s.size(),
+      [&] { return naive::Including(r, s); }, [&] { return Including(r, s); },
+      [&] { return exec::ParallelIncluding(r, s, cfg); });
+  ExpectSemiJoin(
+      what + " included", r.size(), s.size(),
+      [&] { return naive::Included(r, s); }, [&] { return Included(r, s); },
+      [&] { return exec::ParallelIncluded(r, s, cfg); });
+  ExpectSemiJoin(
+      what + " select", r.size(), tokens.size(),
+      [&] { return naive::SelectByTokens(r, tokens); },
+      [&] { return SelectByTokens(r, tokens); },
+      [&] { return exec::ParallelSelectByTokens(r, tokens, cfg); });
+}
+
+void ExpectBothIncludedMatchesNaive(const RegionSet& r, const RegionSet& s,
+                                    const RegionSet& t,
+                                    const std::string& what) {
+  EXPECT_EQ(BothIncluded(r, s, t), naive::BothIncluded(r, s, t)) << what;
+  EXPECT_EQ(BothIncluded(r, t, s), naive::BothIncluded(r, t, s)) << what;
+}
+
+TEST(SemiJoinWalkTest, ChunkCutsInsideRunsOfEqualLefts) {
+  Rng rng(2024);
+  for (int round = 0; round < 3; ++round) {
+    // 8192+ rows give the 4-lane pool four chunks (2048 rows minimum each).
+    const RegionSet r = WalkStressSet(rng, 12000, 0, 1500, 24);
+    const RegionSet s = WalkStressSet(rng, 400, 0, 1500, 6);
+    ASSERT_GE(r.size(), 8192u);
+    // At least one chunk cut splits a run of equal left endpoints.
+    bool cut_inside_run = false;
+    for (size_t k = 1; k < 4; ++k) {
+      const size_t cut = k * r.size() / 4;
+      cut_inside_run |= r[cut - 1].left == r[cut].left;
+    }
+    EXPECT_TRUE(cut_inside_run);
+    ExpectWalksMatchNaive(r, s, "runs");
+    // S and R swapped: the large operand is now the indexed one.
+    ExpectWalksMatchNaive(s, r, "runs swapped");
+  }
+}
+
+TEST(SemiJoinWalkTest, ArbitrarySetsIncludingRIsS) {
+  Rng rng(7);
+  for (int round = 0; round < 20; ++round) {
+    const RegionSet r = WalkStressSet(rng, 1 + rng.Below(120), 0, 60, 5);
+    const RegionSet s = WalkStressSet(rng, 1 + rng.Below(120), 0, 60, 5);
+    const RegionSet t = WalkStressSet(rng, 1 + rng.Below(60), 0, 60, 3);
+    ExpectWalksMatchNaive(r, s, "random");
+    ExpectWalksMatchNaive(r, r, "R == S");
+    ExpectBothIncludedMatchesNaive(r, s, t, "random");
+    ExpectBothIncludedMatchesNaive(r, r, r, "R == S == T");
+  }
+}
+
+TEST(SemiJoinWalkTest, OnePointRegions) {
+  Rng rng(11);
+  for (int round = 0; round < 10; ++round) {
+    std::vector<Region> points;
+    for (int i = 0; i < 50; ++i) {
+      const auto x = static_cast<Offset>(rng.Below(40));
+      points.push_back(Region{x, x});
+    }
+    const RegionSet p = RegionSet::FromUnsorted(std::move(points));
+    const RegionSet mixed = WalkStressSet(rng, 80, 0, 40, 4);
+    ExpectWalksMatchNaive(p, p, "points vs points");
+    ExpectWalksMatchNaive(p, mixed, "points vs mixed");
+    ExpectWalksMatchNaive(mixed, p, "mixed vs points");
+    ExpectBothIncludedMatchesNaive(mixed, p, p, "points");
+  }
+}
+
+TEST(SemiJoinWalkTest, RegionsEndingAtTheOffsetMaximum) {
+  Rng rng(13);
+  for (int round = 0; round < 10; ++round) {
+    // Lefts in the last 100 offsets, so most rights clamp to the maximum.
+    const RegionSet r = WalkStressSet(rng, 150, kMaxOffset - 100, 100, 4);
+    const RegionSet s = WalkStressSet(rng, 150, kMaxOffset - 100, 100, 4);
+    const RegionSet top{Region{0, kMaxOffset}, Region{kMaxOffset, kMaxOffset}};
+    ExpectWalksMatchNaive(r, s, "top");
+    ExpectWalksMatchNaive(top, r, "whole range vs top");
+    ExpectWalksMatchNaive(r, top, "top vs whole range");
+    ExpectWalksMatchNaive(top, top, "whole range");
+    ExpectBothIncludedMatchesNaive(top, r, s, "top");
+  }
+}
+
+TEST(SemiJoinWalkTest, EmptyOperands) {
+  Rng rng(17);
+  const RegionSet some = WalkStressSet(rng, 100, 0, 50, 4);
+  const RegionSet none;
+  ExpectWalksMatchNaive(some, none, "empty S");
+  ExpectWalksMatchNaive(none, some, "empty R");
+  ExpectWalksMatchNaive(none, none, "both empty");
+  ExpectBothIncludedMatchesNaive(some, none, some, "empty S or T");
+  ExpectBothIncludedMatchesNaive(none, some, some, "empty R");
+}
+
+TEST(SemiJoinWalkTest, PartitionedCallsAreCountedAndLanesReturnToZero) {
+  obs::Counter* ops = obs::Registry::Default().GetCounter(
+      "regal_exec_parallel_ops_total", {{"op", "including"}});
+  obs::Gauge* lanes =
+      obs::Registry::Default().GetGauge("regal_exec_active_lanes");
+  Rng rng(19);
+  const RegionSet r = RandomSet(rng, 16384, 1 << 16);
+  const RegionSet s = RandomSet(rng, 4096, 1 << 16);
+  const int64_t before = ops->value();
+  constexpr int kCalls = 5;
+  {
+    ThreadPool pool(4);
+    const ParallelConfig cfg{&pool, /*min_rows=*/0, /*max_partitions=*/0};
+    for (int i = 0; i < kCalls; ++i) {
+      EXPECT_EQ(exec::ParallelIncluding(r, s, cfg), Including(r, s));
+    }
+  }  // The pool's destructor runs every queued helper job before returning.
+  EXPECT_EQ(ops->value() - before, kCalls);
+  EXPECT_EQ(lanes->value(), 0);
+}
 
 // ---------------------------------------------------------------------------
 // Index builds: identical structures for every thread count.
