@@ -137,17 +137,6 @@ void BM_IndexBuildSequential(benchmark::State& state) {
                           static_cast<int64_t>(text.content().size()));
 }
 
-void BM_InvertedIndexBuild(benchmark::State& state) {
-  Text text(IndexSource(static_cast<int>(state.range(0))));
-  exec::ThreadPool& pool = PoolFor(static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    InvertedWordIndex index(&text, &pool);
-    benchmark::DoNotOptimize(index.NumTokens());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(text.content().size()));
-}
-
 const std::vector<int64_t> kSizes = {1 << 14, 1 << 16, 1 << 18};
 const std::vector<int64_t> kThreads = {1, 2, 4, 8};
 
@@ -159,7 +148,6 @@ BENCHMARK(BM_SequentialIncluding)->Arg(1 << 18);
 BENCHMARK(BM_SequentialUnion)->Arg(1 << 18);
 BENCHMARK(BM_IndexBuild)->ArgsProduct({{256, 1024}, kThreads});
 BENCHMARK(BM_IndexBuildSequential)->Arg(1024);
-BENCHMARK(BM_InvertedIndexBuild)->ArgsProduct({{1024}, kThreads});
 
 }  // namespace
 }  // namespace regal

@@ -71,7 +71,7 @@ std::string BenchDir(const char* name) {
 
 // The mutation workload: replace one of 8 named region sets with 32 fresh
 // regions — the steady-state shape of a live catalog under edits (text
-// rebinds are dominated by suffix-array construction, not by the WAL).
+// rebinds are dominated by rebuilding the word index, not by the WAL).
 recovery::Mutation WorkloadMutation(int64_t i) {
   std::vector<Region> regions;
   regions.reserve(32);

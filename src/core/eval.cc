@@ -176,7 +176,8 @@ Result<Evaluator::SharedSet> Evaluator::EvalNode(const ExprPtr& e,
       tokens.reserve(matches.size());
       for (const Token& t : matches) tokens.push_back(Region{t.left, t.right});
       ++stats_.operator_evals;
-      return Adopt(RegionSet::FromUnsorted(std::move(tokens)));
+      // Matches() returns disjoint tokens in document order.
+      return Adopt(RegionSet::FromSortedUnique(std::move(tokens)));
     }
     case OpKind::kSelect: {
       REGAL_ASSIGN_OR_RETURN(SharedSet child, Eval(e->child(0)));

@@ -57,50 +57,5 @@ std::vector<Token> ParallelTokenize(std::string_view text, ThreadPool* pool,
   return out;
 }
 
-std::map<std::string, std::vector<Token>> ParallelPostings(
-    std::string_view text, ThreadPool* pool, int64_t* num_tokens,
-    size_t min_bytes) {
-  const size_t lanes = Lanes(pool);
-  std::map<std::string, std::vector<Token>> postings;
-  int64_t count = 0;
-  if (lanes <= 1 || text.size() < min_bytes) {
-    for (const Token& t : Tokenize(text)) {
-      postings[std::string(TokenText(text, t))].push_back(t);
-      ++count;
-    }
-    *num_tokens = count;
-    return postings;
-  }
-  std::vector<size_t> cuts = ChunkBoundaries(text, lanes);
-  const size_t chunks = cuts.size() - 1;
-  std::vector<std::map<std::string, std::vector<Token>>> partial(chunks);
-  pool->ParallelFor(chunks, [&](size_t k) {
-    std::string_view chunk = text.substr(cuts[k], cuts[k + 1] - cuts[k]);
-    const Offset shift = static_cast<Offset>(cuts[k]);
-    auto& local = partial[k];
-    for (Token t : Tokenize(chunk)) {
-      t.left += shift;
-      t.right += shift;
-      local[std::string(TokenText(text, t))].push_back(t);
-    }
-  });
-  // Merge in chunk order: chunks cover increasing text ranges, so appending
-  // keeps every postings list in occurrence order, matching the sequential
-  // build.
-  for (auto& local : partial) {
-    for (auto& [word, tokens] : local) {
-      std::vector<Token>& dst = postings[word];
-      count += static_cast<int64_t>(tokens.size());
-      if (dst.empty()) {
-        dst = std::move(tokens);
-      } else {
-        dst.insert(dst.end(), tokens.begin(), tokens.end());
-      }
-    }
-  }
-  *num_tokens = count;
-  return postings;
-}
-
 }  // namespace exec
 }  // namespace regal

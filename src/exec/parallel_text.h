@@ -2,8 +2,6 @@
 #define REGAL_EXEC_PARALLEL_TEXT_H_
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -13,24 +11,15 @@
 namespace regal {
 namespace exec {
 
-/// Parallel scan phases of the index builders. Both helpers split the text
-/// into per-lane chunks whose boundaries are snapped forward to the next
-/// non-identifier byte, so no token straddles a cut — each chunk tokenizes
-/// exactly the tokens the sequential pass would find there, and the
-/// concatenation (chunks are in text order) is byte-identical to the
-/// sequential result.
-
-/// Tokenize(text) distributed over `pool`. Null pool or short text runs the
+/// Tokenize(text) distributed over `pool`: the parallel scan phase of the
+/// word-index build. The text is split into per-lane chunks whose boundaries
+/// are snapped forward to the next non-identifier byte, so no token
+/// straddles a cut — each chunk tokenizes exactly the tokens the sequential
+/// pass would find there, and the concatenation (chunks are in text order) is
+/// identical to the sequential result. Null pool or short text runs the
 /// sequential tokenizer.
 std::vector<Token> ParallelTokenize(std::string_view text, ThreadPool* pool,
                                     size_t min_bytes = size_t{1} << 16);
-
-/// The vocabulary -> postings map of InvertedWordIndex: per-chunk maps built
-/// concurrently, then merged in chunk (= text) order so every postings list
-/// stays sorted by occurrence. `num_tokens` receives the total token count.
-std::map<std::string, std::vector<Token>> ParallelPostings(
-    std::string_view text, ThreadPool* pool, int64_t* num_tokens,
-    size_t min_bytes = size_t{1} << 16);
 
 }  // namespace exec
 }  // namespace regal

@@ -1,6 +1,8 @@
 #include "index/word_index.h"
 
 #include <algorithm>
+#include <numeric>
+#include <string>
 
 #include "exec/parallel_text.h"
 #include "exec/thread_pool.h"
@@ -16,13 +18,13 @@ namespace {
 // Degrade failpoint for index construction: a nullptr pool is the documented
 // strictly-sequential build, so firing simply reroutes there while recording
 // the fallback for explain/metrics consumers.
-exec::ThreadPool* MaybeDegradeBuild(exec::ThreadPool* pool, const char* index) {
+exec::ThreadPool* MaybeDegradeBuild(exec::ThreadPool* pool) {
   if (pool == nullptr || !safety::FailpointFires("index.build.degrade")) {
     return pool;
   }
   obs::Registry::Default()
       .GetCounter("regal_safety_index_build_fallbacks_total",
-                  {{"index", index}})
+                  {{"index", "suffix_array"}})
       ->Increment();
   return nullptr;
 }
@@ -44,77 +46,75 @@ SuffixArrayWordIndex::SuffixArrayWordIndex(const Text* text)
 
 SuffixArrayWordIndex::SuffixArrayWordIndex(const Text* text,
                                            exec::ThreadPool* pool)
-    // tokens_ is declared before suffix_array_, so the degrade decision made
-    // in its initializer is the pool suffix_array_ sees too.
-    : text_(text),
-      tokens_(exec::ParallelTokenize(
-          text->content(), pool = MaybeDegradeBuild(pool, "suffix_array"))),
-      suffix_array_(ToLowerAscii(text->content()), pool) {}
+    : text_(text) {
+  std::string_view content(text->content());
+  const std::vector<Token> tokens =
+      exec::ParallelTokenize(content, MaybeDegradeBuild(pool));
+  // Ids in order of first occurrence, then a counting sort of the tokens by
+  // id; the sort is stable, so every postings list stays in text order.
+  std::vector<int32_t> token_ids(tokens.size());
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    auto it = ids_.try_emplace(TokenText(content, tokens[i]),
+                               static_cast<int32_t>(ids_.size()))
+                  .first;
+    token_ids[i] = it->second;
+  }
+  const size_t vocabulary = ids_.size();
+  offsets_.assign(vocabulary + 1, 0);
+  for (int32_t id : token_ids) ++offsets_[static_cast<size_t>(id) + 1];
+  for (size_t k = 0; k < vocabulary; ++k) offsets_[k + 1] += offsets_[k];
+  std::vector<int32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  postings_.resize(tokens.size());
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    int32_t& next = cursor[static_cast<size_t>(token_ids[i])];
+    postings_[static_cast<size_t>(next++)] = tokens[i];
+  }
 
-int32_t SuffixArrayWordIndex::TokenAt(int32_t pos) const {
-  // Rightmost token with left <= pos.
-  auto it = std::upper_bound(
-      tokens_.begin(), tokens_.end(), pos,
-      [](int32_t p, const Token& t) { return p < t.left; });
-  if (it == tokens_.begin()) return -1;
-  --it;
-  if (it->right < pos) return -1;
-  return static_cast<int32_t>(it - tokens_.begin());
+  // Tokens are runs of identifier bytes, so no spelling contains the space
+  // that separates them: a core hit that straddles two spellings has a
+  // space in the core, and verification rejects every token for it.
+  std::string joined;
+  starts_.reserve(vocabulary);
+  for (size_t k = 0; k < vocabulary; ++k) {
+    starts_.push_back(static_cast<int32_t>(joined.size()));
+    joined += ToLowerAscii(Spelling(static_cast<int32_t>(k)));
+    joined += ' ';
+  }
+  suffix_array_ = SuffixArray(std::move(joined));
 }
 
-std::vector<Token> SuffixArrayWordIndex::Matches(const Pattern& p) const {
+std::span<const Token> SuffixArrayWordIndex::Postings(int32_t id) const {
+  const auto k = static_cast<size_t>(id);
+  return std::span<const Token>(postings_).subspan(
+      static_cast<size_t>(offsets_[k]),
+      static_cast<size_t>(offsets_[k + 1] - offsets_[k]));
+}
+
+std::string_view SuffixArrayWordIndex::Spelling(int32_t id) const {
+  return TokenText(text_->content(), Postings(id).front());
+}
+
+std::vector<Token> SuffixArrayWordIndex::Occurrences(
+    const std::vector<int32_t>& ids) const {
+  size_t total = 0;
+  for (int32_t id : ids) total += Postings(id).size();
   std::vector<Token> out;
-  std::string_view original(text_->content());
-  const std::string& core = p.LiteralCore();
-  if (core.empty()) {
-    // Body is all '?': scan tokens directly.
-    for (const Token& t : tokens_) {
-      if (p.MatchesToken(TokenText(original, t))) out.push_back(t);
-    }
-    if (obs::OpCounters* sink = obs::CountersSink()) {
-      sink->index_probes += static_cast<int64_t>(tokens_.size());
-      sink->comparisons += static_cast<int64_t>(tokens_.size());
-    }
-    return out;
+  out.reserve(total);
+  for (int32_t id : ids) {
+    std::span<const Token> tokens = Postings(id);
+    out.insert(out.end(), tokens.begin(), tokens.end());
   }
-  // The suffix array is over lower-cased text, so search the lower-cased
-  // core; case-sensitive patterns are re-verified on the original text by
-  // MatchesToken below.
-  std::vector<int32_t> occurrences =
-      suffix_array_.Occurrences(ToLowerAscii(core));
-  int64_t verifications = 0;
-  int32_t last_token = -1;
-  for (int32_t pos : occurrences) {
-    int32_t token_id = TokenAt(pos);
-    if (token_id < 0 || token_id == last_token) continue;
-    last_token = token_id;
-    const Token& t = tokens_[static_cast<size_t>(token_id)];
-    ++verifications;
-    if (p.MatchesToken(TokenText(original, t))) out.push_back(t);
+  if (ids.size() > 1) {
+    // Tokens never overlap, so ordering by left is (left, right) order.
+    std::sort(out.begin(), out.end(), [](const Token& a, const Token& b) {
+      return a.left < b.left;
+    });
   }
-  if (obs::OpCounters* sink = obs::CountersSink()) {
-    // One probe per suffix-array occurrence, one comparison per full-pattern
-    // verification against a candidate token.
-    sink->index_probes += static_cast<int64_t>(occurrences.size());
-    sink->comparisons += verifications;
-  }
-  // Occurrences are in text order and each token is considered once (its
-  // first core hit), so `out` is already sorted; dedup defensively.
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
-InvertedWordIndex::InvertedWordIndex(const Text* text)
-    : InvertedWordIndex(text, &exec::ThreadPool::Default()) {}
-
-InvertedWordIndex::InvertedWordIndex(const Text* text, exec::ThreadPool* pool)
-    : text_(text) {
-  pool = MaybeDegradeBuild(pool, "inverted");
-  postings_ = exec::ParallelPostings(text->content(), pool, &num_tokens_);
-}
-
-std::vector<Token> InvertedWordIndex::Matches(const Pattern& p) const {
-  std::vector<Token> out;
+std::vector<Token> SuffixArrayWordIndex::Matches(const Pattern& p) const {
+  std::vector<int32_t> matched;
   int64_t probes = 0;
   int64_t comparisons = 0;
   const bool exact = p.anchored_front() && p.anchored_back() &&
@@ -122,37 +122,46 @@ std::vector<Token> InvertedWordIndex::Matches(const Pattern& p) const {
                      p.body().find('?') == std::string::npos;
   if (exact) {
     probes = 1;
-    auto it = postings_.find(p.body());
-    if (it != postings_.end()) out = it->second;
+    auto it = ids_.find(p.body());
+    if (it != ids_.end()) matched.push_back(it->second);
   } else {
-    // Prefix patterns narrow the vocabulary scan via the ordered map; all
-    // other shapes scan the whole vocabulary (still never the raw text).
-    auto begin = postings_.begin();
-    auto end = postings_.end();
-    if (p.anchored_front() && !p.case_insensitive() && p.CoreOffsetInBody() == 0 &&
-        !p.LiteralCore().empty()) {
-      const std::string& core = p.LiteralCore();
-      begin = postings_.lower_bound(core);
-      std::string upper = core;
-      upper.back() = static_cast<char>(upper.back() + 1);
-      end = postings_.lower_bound(upper);
-    }
-    for (auto it = begin; it != end; ++it) {
-      ++probes;
-      ++comparisons;
-      if (p.MatchesToken(it->first)) {
-        out.insert(out.end(), it->second.begin(), it->second.end());
+    // Candidate spellings: those containing the lower-cased literal core (a
+    // suffix-array range, one slot per occurrence), or every spelling when
+    // the body is all '?'.
+    std::vector<int32_t> candidates;
+    const std::string& core = p.LiteralCore();
+    if (core.empty()) {
+      candidates.resize(starts_.size());
+      std::iota(candidates.begin(), candidates.end(), 0);
+      probes = static_cast<int64_t>(candidates.size());
+    } else {
+      auto [lo, hi] = suffix_array_.EqualRange(ToLowerAscii(core));
+      probes = hi - lo;
+      candidates.reserve(static_cast<size_t>(hi - lo));
+      for (int32_t slot = lo; slot < hi; ++slot) {
+        const int32_t pos = suffix_array_.sa()[static_cast<size_t>(slot)];
+        auto owner = std::upper_bound(starts_.begin(), starts_.end(), pos);
+        candidates.push_back(
+            static_cast<int32_t>(owner - starts_.begin() - 1));
       }
+      std::sort(candidates.begin(), candidates.end());
+      candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                       candidates.end());
     }
-    std::sort(out.begin(), out.end(), [](const Token& a, const Token& b) {
-      return a.left != b.left ? a.left < b.left : a.right < b.right;
-    });
+    // Verify the full pattern once per distinct spelling, in its original
+    // case.
+    for (int32_t id : candidates) {
+      ++comparisons;
+      if (p.MatchesToken(Spelling(id))) matched.push_back(id);
+    }
   }
   if (obs::OpCounters* sink = obs::CountersSink()) {
+    // One probe per suffix-array slot, vocabulary entry scanned or hash
+    // lookup; one comparison per full-pattern verification of a spelling.
     sink->index_probes += probes;
     sink->comparisons += comparisons;
   }
-  return out;
+  return Occurrences(matched);
 }
 
 }  // namespace regal

@@ -1,9 +1,10 @@
 #ifndef REGAL_INDEX_WORD_INDEX_H_
 #define REGAL_INDEX_WORD_INDEX_H_
 
-#include <map>
-#include <memory>
-#include <string>
+#include <cstdint>
+#include <span>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "index/suffix_array.h"
@@ -15,11 +16,8 @@ namespace regal {
 
 /// The word index W of Definition 2.1, as an abstract interface: W(r, p)
 /// holds iff some token fully contained in the inclusive byte range
-/// [left, right] matches pattern p.
-///
-/// Two implementations are provided and cross-checked in the tests:
-/// SuffixArrayWordIndex (the PAT-array approach of the commercial system the
-/// paper studies) and InvertedWordIndex (the classic IR structure).
+/// [left, right] matches pattern p. SuffixArrayWordIndex implements it; the
+/// tests check it against a naive scan of the tokens.
 class WordIndex {
  public:
   virtual ~WordIndex() = default;
@@ -31,21 +29,30 @@ class WordIndex {
   /// W(r, p) for r = [left, right].
   virtual bool Contains(Offset left, Offset right, const Pattern& p) const;
 
-  /// Number of distinct tokens in the indexed text (for cost estimation).
+  /// Number of token occurrences in the indexed text (for cost estimation).
   virtual int64_t NumTokens() const = 0;
+
+  /// Number of distinct case-sensitive token spellings.
+  virtual int64_t VocabularySize() const = 0;
 };
 
 namespace exec {
 class ThreadPool;
 }  // namespace exec
 
-/// Word index backed by a suffix array over the lower-cased text. Pattern
-/// lookups binary-search the literal core of the pattern, then verify the
-/// enclosing token against the full pattern on the original text.
+/// Word index over the vocabulary: every distinct case-sensitive spelling
+/// gets an id and a postings list of its occurrences in text order, and a
+/// suffix array (the PAT array of the system the paper studies) indexes the
+/// lower-cased spellings joined by a separator. Since W(r, p) is about whole
+/// tokens, the array need cover only the words, not the text.
 ///
-/// Construction parallelizes the tokenize and suffix-sort phases on the exec
-/// thread pool; the built index is identical for every thread count (see
-/// exec/parallel_text.h and SuffixArray).
+/// An exact, case-sensitive pattern without '?' is one hash lookup. Any
+/// other pattern binary-searches its literal core, verifies the full pattern
+/// once per distinct spelling found, and merges the matching postings.
+///
+/// Construction tokenizes on the exec thread pool (see exec/parallel_text.h)
+/// and builds the rest sequentially; the index is identical for every thread
+/// count.
 class SuffixArrayWordIndex : public WordIndex {
  public:
   /// Builds the index on the default thread pool. `text` must outlive the
@@ -56,43 +63,36 @@ class SuffixArrayWordIndex : public WordIndex {
   SuffixArrayWordIndex(const Text* text, exec::ThreadPool* pool);
 
   std::vector<Token> Matches(const Pattern& p) const override;
-  int64_t NumTokens() const override { return static_cast<int64_t>(tokens_.size()); }
+  int64_t NumTokens() const override {
+    return static_cast<int64_t>(postings_.size());
+  }
+  int64_t VocabularySize() const override {
+    return static_cast<int64_t>(starts_.size());
+  }
 
+  /// The suffix array over the lower-cased, separator-joined vocabulary.
   const SuffixArray& suffix_array() const { return suffix_array_; }
 
  private:
-  /// Token enclosing text offset `pos`, or -1.
-  int32_t TokenAt(int32_t pos) const;
+  /// The tokens spelled as vocabulary entry `id`, in text order.
+  std::span<const Token> Postings(int32_t id) const;
+
+  /// The case-sensitive spelling of vocabulary entry `id`.
+  std::string_view Spelling(int32_t id) const;
+
+  /// The tokens of the spellings `ids`, in text order.
+  std::vector<Token> Occurrences(const std::vector<int32_t>& ids) const;
 
   const Text* text_;
-  std::vector<Token> tokens_;  // Sorted by left.
-  SuffixArray suffix_array_;   // Over the lower-cased text.
-};
-
-/// Word index backed by a vocabulary -> postings map. Exact and prefix
-/// patterns use the sorted vocabulary directly; other patterns scan the
-/// vocabulary (never the text).
-class InvertedWordIndex : public WordIndex {
- public:
-  /// Builds the postings map on the default thread pool (chunked tokenize
-  /// with per-chunk maps merged in text order — identical to a sequential
-  /// build for every thread count).
-  explicit InvertedWordIndex(const Text* text);
-
-  /// As above on `pool`; nullptr builds strictly sequentially.
-  InvertedWordIndex(const Text* text, exec::ThreadPool* pool);
-
-  std::vector<Token> Matches(const Pattern& p) const override;
-  int64_t NumTokens() const override { return num_tokens_; }
-
-  /// Vocabulary size (distinct token strings, case-sensitive).
-  int64_t VocabularySize() const { return static_cast<int64_t>(postings_.size()); }
-
- private:
-  const Text* text_;
-  // Ordered map doubles as the sorted vocabulary for prefix scans.
-  std::map<std::string, std::vector<Token>> postings_;
-  int64_t num_tokens_ = 0;
+  // Spelling -> id; the views point into text_.
+  std::unordered_map<std::string_view, int32_t> ids_;
+  // The tokens of id k, in text order, are postings_[offsets_[k],
+  // offsets_[k + 1]); offsets_ has VocabularySize() + 1 entries.
+  std::vector<Token> postings_;
+  std::vector<int32_t> offsets_;
+  // starts_[k] = offset of id k's spelling in suffix_array_.text().
+  std::vector<int32_t> starts_;
+  SuffixArray suffix_array_;
 };
 
 }  // namespace regal

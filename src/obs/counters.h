@@ -22,7 +22,7 @@ namespace obs {
 ///    operations, order and structural semi-joins, token merges).
 ///  * `index_probes` — point lookups against an index structure: one per
 ///    region of R tested by a structural semi-join and one per
-///    suffix-array/vocabulary probe in the word indexes.
+///    suffix-array slot, vocabulary entry or hash lookup in the word index.
 ///
 /// The structural semi-joins (⊃, ⊂, σ_p) are charged analytically: a walk
 /// over R and S charges |R| + |S| comparisons, |R| + |S| merge steps and

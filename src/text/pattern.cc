@@ -64,7 +64,6 @@ Result<Pattern> Pattern::Parse(std::string_view spec, bool case_insensitive) {
   }
   p.literal_core_ = std::string(body.substr(best_start, best_len));
   if (case_insensitive) p.literal_core_ = ToLowerAscii(p.literal_core_);
-  p.core_offset_ = static_cast<int>(best_start);
   return p;
 }
 

@@ -21,8 +21,8 @@ namespace regal {
 ///   (flag)    ASCII case-insensitive matching
 ///
 /// A pattern matches *tokens* (words); W(r, p) holds iff some token lying
-/// inside region r matches p. Both word-index implementations share this
-/// semantics so they can be cross-checked.
+/// inside region r matches p. The word index and the tests' naive token
+/// scan share this semantics so they can be cross-checked.
 class Pattern {
  public:
   /// Parses the textual pattern syntax above. Errors on an empty body
@@ -36,13 +36,10 @@ class Pattern {
   /// True iff the whole token matches this pattern.
   bool MatchesToken(std::string_view token) const;
 
-  /// The longest wildcard-free literal run of the pattern body, used by
-  /// suffix-array indexes to narrow candidates before a full match. For
-  /// case-insensitive patterns the core is lower-cased.
+  /// The longest wildcard-free literal run of the pattern body, used by the
+  /// word index's suffix array to narrow candidates before a full match.
+  /// For case-insensitive patterns the core is lower-cased.
   const std::string& LiteralCore() const { return literal_core_; }
-
-  /// Offset of the literal core within the pattern body.
-  int CoreOffsetInBody() const { return core_offset_; }
 
   bool anchored_front() const { return anchored_front_; }
   bool anchored_back() const { return anchored_back_; }
@@ -69,7 +66,6 @@ class Pattern {
 
   std::string body_;          // Pattern text without anchors; may contain '?'.
   std::string literal_core_;  // Longest '?'-free run of body_ (lower-cased if ci).
-  int core_offset_ = 0;
   bool anchored_front_ = true;  // No leading '*'.
   bool anchored_back_ = true;   // No trailing '*'.
   bool case_insensitive_ = false;

@@ -21,8 +21,8 @@ struct Token {
 };
 
 /// Splits text into tokens: maximal runs of [A-Za-z0-9_]. Deterministic and
-/// locale independent. Both word-index implementations tokenize with this
-/// function so their W(r, p) predicates agree.
+/// locale independent. The word index and the tests' naive token scan
+/// tokenize with this function so their W(r, p) predicates agree.
 std::vector<Token> Tokenize(std::string_view text);
 
 /// The token text for `t` within `text`.

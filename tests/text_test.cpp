@@ -109,7 +109,6 @@ TEST(PatternTest, LiteralCore) {
   auto p = Pattern::Parse("ab?cde?f");
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->LiteralCore(), "cde");
-  EXPECT_EQ(p->CoreOffsetInBody(), 3);
 }
 
 TEST(PatternTest, CoreLowercasedWhenInsensitive) {
